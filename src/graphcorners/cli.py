@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("graph")
     p.add_argument("--group", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="vertex cap for infinite groups")
     p.add_argument("--dot", action="store_true")
     p.add_argument("--relabel", action="store_true")
     p.set_defaults(func=_cmd_fixed_point)

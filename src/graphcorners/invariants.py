@@ -1,7 +1,10 @@
 """Exact integer invariants: Smith normal form, K-theory, dimension vectors.
 
-All arithmetic is over Python integers, so entry growth during
-elimination is harmless at the matrix sizes this library targets.
+All arithmetic is over Python integers, so results are exact, but the
+transform-tracking Smith normal form lets entries grow far faster than
+the matrix: ``k_theory`` of a random graph with 120 vertices and 360
+edges takes 0.2 s, one with 200 vertices and 600 edges has not finished
+after 60 s.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from typing import Iterable, Sequence
 
 from .multigraph import (
     DirectedMultigraph,
-    GraphFormatError,
-    is_acyclic,
     topological_order,
 )
 
@@ -304,15 +305,9 @@ def fd_dimension_vector(g: DirectedMultigraph) -> tuple[int, ...]:
     """Matrix block sizes of the algebra of a finite acyclic graph.
 
     One block per sink v, of size the number of paths ending at v, the
-    length-0 path included; counted by dynamic programming in topological
-    order.
+    length-0 path included: the compression at every vertex.
     """
-    if not is_acyclic(g):
-        raise GraphFormatError("graph has a cycle")
-    ending_at = {}
-    for v in topological_order(g):
-        ending_at[v] = 1 + sum(ending_at[e.src] for e in g.in_edges(v))
-    return tuple(sorted(ending_at[v] for v in g.sinks()))
+    return corner_dimension_vector(g, g.vertices)
 
 
 def corner_dimension_vector(
@@ -321,23 +316,16 @@ def corner_dimension_vector(
     """Block sizes of the compression of an acyclic graph algebra at a
     vertex set: for each sink, the number of paths from the set to it.
 
-    Counted by exhaustive path enumeration on purpose, so this stays
-    independent of the corner construction it is used to cross-check.
+    Counted by dynamic programming in topological order, each distinct
+    root seeding its length-0 path; sinks no root reaches are dropped.
     """
-    if not is_acyclic(g):
-        raise GraphFormatError("graph has a cycle")
-    root_list = list(dict.fromkeys(roots))
-    for v in root_list:
+    order = topological_order(g)
+    root_set = dict.fromkeys(roots)
+    for v in root_set:
         g._require_vertex(v)
-    arrivals = {v: 0 for v in g.vertices}
-
-    def walk(v: str) -> None:
-        arrivals[v] += 1
-        for e in g.out_edges(v):
-            walk(e.dst)
-
-    for v in root_list:
-        walk(v)
-    return tuple(
-        sorted(arrivals[v] for v in g.sinks() if arrivals[v] > 0)
-    )
+    ending_at: dict[str, int] = {}
+    for v in order:
+        ending_at[v] = (v in root_set) + sum(
+            ending_at[e.src] for e in g.in_edges(v)
+        )
+    return tuple(sorted(ending_at[v] for v in g.sinks() if ending_at[v]))

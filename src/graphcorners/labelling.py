@@ -22,6 +22,7 @@ from .multigraph import (
     GraphFormatError,
     Path,
     is_acyclic,
+    path_range,
 )
 from .subtree import DirectedSubtree, build_spanning_subtree
 
@@ -146,7 +147,12 @@ class Labelling:
         group: GroupSpec,
         labels: Mapping[str, Iterable[int] | int],
     ) -> "Labelling":
-        """Build from edge name -> coordinates; missing edges get identity."""
+        """Build from edge name -> coordinates; missing edges get identity.
+
+        A key that names no edge of the host is rejected.
+        """
+        for name in labels:
+            host.edge(name)
         by_edge = {}
         for e in host.edges:
             raw = labels.get(e.name)
@@ -165,8 +171,6 @@ class Labelling:
 
 def path_label(c: Labelling, mu: Path) -> Element:
     """Ordered product of the edge labels along a path; identity if empty."""
-    from .multigraph import path_range
-
     path_range(c.host, mu)
     acc = c.group.identity
     for name in mu.edges:
@@ -214,13 +218,17 @@ def reachable_skew(
     """The part of the skew product reachable from the identity fibre.
 
     BFS over the induced subgraph on the hereditary closure of the vertex
-    set {(v, identity)}.  Raises CapExceededError once the closure needs
-    more than ``cap`` vertices, which is how an infinite closure surfaces.
+    set {(v, identity)}.  For a group with an infinite factor, raises
+    CapExceededError once the closure needs more than ``cap`` vertices,
+    which is how an infinite closure surfaces.  A finite group bounds the
+    closure by |V|·|G| vertices and the cap does not apply.
     """
     _check_labelling(host, c)
     if cap < len(host.vertices):
         raise ValueError("cap must be at least the host vertex count")
     group = c.group
+    if group.is_finite:
+        cap = max(cap, len(host.vertices) * group.order)
     ident = group.identity
 
     seen: dict[tuple[str, Element], str] = {}
@@ -231,10 +239,6 @@ def reachable_skew(
         seen[state] = _at(v, group.name_encode(ident))
         order.append(seen[state])
         queue.append(state)
-    if len(seen) > cap:
-        raise CapExceededError(
-            f"closure exceeds cap {cap}: needs more than {cap} vertices"
-        )
 
     edges: list[Edge] = []
     while queue:
@@ -387,17 +391,10 @@ def cycle_labels_trivial(
                 # One of the two closed walks below must carry a
                 # non-identity label; their difference is the mismatch.
                 through = fwd[e.src] + (e.name,) + bwd[e.dst]
-                if _walk_label(c, through) != group.identity:
+                if path_label(c, Path(base, through)) != group.identity:
                     return False, through
                 return False, fwd[e.dst] + bwd[e.dst]
     return True, None
-
-
-def _walk_label(c: Labelling, edge_names: tuple[str, ...]) -> Element:
-    acc = c.group.identity
-    for name in edge_names:
-        acc = c.group.op(acc, c.label(name))
-    return acc
 
 
 def _component_tree(host, comp, base, c, forward):
@@ -489,12 +486,6 @@ def fixed_point_pipeline(
     roots = [_at(v, ident_enc) for v in host.vertices]
     tree = build_spanning_subtree(skew, roots)
     return FixedPointResult(skew, tree, corner_graph(skew, tree))
-
-
-def fixed_point_graph(
-    host: DirectedMultigraph, c: Labelling, cap: int = DEFAULT_CAP
-) -> CornerGraph:
-    return fixed_point_pipeline(host, c, cap).corner
 
 
 def _check_labelling(host: DirectedMultigraph, c: Labelling) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z0-9_@.-]+")
 
@@ -69,30 +69,18 @@ class DirectedMultigraph:
         vertices: Iterable[str],
         edges: Iterable[Edge | Sequence[str]] = (),
     ) -> None:
-        vs: list[str] = []
-        seen = set()
+        out: dict[str, list[Edge]] = {}
         for v in vertices:
-            _check_name(v, "vertex")
-            if v in seen:
-                raise GraphFormatError(f"duplicate vertex name {v!r}")
-            seen.add(v)
-            vs.append(v)
-        self.vertices: tuple[str, ...] = tuple(vs)
+            _check_item(v, "vertex", out)
+            out[v] = []
+        self.vertices: tuple[str, ...] = tuple(out)
 
         es: list[Edge] = []
         by_name: dict[str, Edge] = {}
-        out: dict[str, list[Edge]] = {v: [] for v in vs}
-        inc: dict[str, list[Edge]] = {v: [] for v in vs}
+        inc: dict[str, list[Edge]] = {v: [] for v in out}
         for item in edges:
             e = item if isinstance(item, Edge) else Edge(*item)
-            _check_name(e.name, "edge")
-            if e.name in by_name:
-                raise GraphFormatError(f"duplicate edge name {e.name!r}")
-            for endpoint in (e.src, e.dst):
-                if endpoint not in out:
-                    raise GraphFormatError(
-                        f"edge {e.name!r}: endpoint {endpoint!r} undeclared"
-                    )
+            _check_item(e.name, "edge", by_name, (e.src, e.dst), out)
             by_name[e.name] = e
             out[e.src].append(e)
             inc[e.dst].append(e)
@@ -143,67 +131,58 @@ class DirectedMultigraph:
             raise GraphFormatError(f"unknown vertex {v!r}")
 
 
-def _check_name(name: str, kind: str) -> None:
+def _check_item(
+    name: str,
+    kind: str,
+    taken: Container[str],
+    endpoints: Iterable[str] = (),
+    vertices: Container[str] = (),
+) -> None:
+    """Check one vertex or edge before it joins a graph: its name is well
+    formed and not in ``taken``, and its endpoints are in ``vertices``."""
     if not isinstance(name, str) or not NAME_RE.fullmatch(name):
         raise GraphFormatError(f"invalid {kind} name {name!r}")
+    if name in taken:
+        raise GraphFormatError(f"duplicate {kind} name {name!r}")
+    for endpoint in endpoints:
+        if endpoint not in vertices:
+            raise GraphFormatError(
+                f"edge {name!r}: endpoint {endpoint!r} undeclared"
+            )
 
 
 def parse_graph(text: str) -> DirectedMultigraph:
     """Parse graph-file content; errors report the offending line number."""
-    vertices: list[str] = []
-    edges: list[Edge] = []
-    declared: set[str] = set()
-    edge_names: set[str] = set()
+    vertices: dict[str, None] = {}
+    edges: dict[str, Edge] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        kind = tokens[0]
-        if kind == "vertex":
-            if len(tokens) != 2:
-                raise GraphFormatError(
-                    f"line {lineno}: expected 'vertex NAME', got {raw!r}"
-                )
-            name = tokens[1]
-            _name_or_line_error(name, "vertex", lineno)
-            if name in declared:
-                raise GraphFormatError(
-                    f"line {lineno}: duplicate vertex name {name!r}"
-                )
-            declared.add(name)
-            vertices.append(name)
-        elif kind == "edge":
-            if len(tokens) not in (4, 5):
-                raise GraphFormatError(
-                    f"line {lineno}: expected 'edge NAME SRC DST [LABEL]', "
-                    f"got {raw!r}"
-                )
-            name, src, dst = tokens[1:4]
-            label = tokens[4] if len(tokens) == 5 else None
-            for n, k in ((name, "edge"), (src, "vertex"), (dst, "vertex")):
-                _name_or_line_error(n, k, lineno)
-            if name in edge_names:
-                raise GraphFormatError(
-                    f"line {lineno}: duplicate edge name {name!r}"
-                )
-            for endpoint in (src, dst):
-                if endpoint not in declared:
+        try:
+            if tokens[0] == "vertex":
+                if len(tokens) != 2:
                     raise GraphFormatError(
-                        f"line {lineno}: endpoint {endpoint!r} undeclared"
+                        f"expected 'vertex NAME', got {raw!r}"
                     )
-            edge_names.add(name)
-            edges.append(Edge(name, src, dst, label))
-        else:
-            raise GraphFormatError(
-                f"line {lineno}: unknown declaration {kind!r}"
-            )
-    return DirectedMultigraph(vertices, edges)
-
-
-def _name_or_line_error(name: str, kind: str, lineno: int) -> None:
-    if not NAME_RE.fullmatch(name):
-        raise GraphFormatError(f"line {lineno}: invalid {kind} name {name!r}")
+                _check_item(tokens[1], "vertex", vertices)
+                vertices[tokens[1]] = None
+            elif tokens[0] == "edge":
+                if len(tokens) not in (4, 5):
+                    raise GraphFormatError(
+                        f"expected 'edge NAME SRC DST [LABEL]', got {raw!r}"
+                    )
+                e = Edge(*tokens[1:])
+                _check_item(e.name, "edge", edges, (e.src, e.dst), vertices)
+                edges[e.name] = e
+            else:
+                raise GraphFormatError(
+                    f"unknown declaration {tokens[0]!r}"
+                )
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from None
+    return DirectedMultigraph(vertices, edges.values())
 
 
 def serialize_graph(g: DirectedMultigraph) -> str:
@@ -228,52 +207,68 @@ def to_dot(g: DirectedMultigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def is_acyclic(g: DirectedMultigraph) -> bool:
-    """True iff the graph contains no directed cycle."""
-    indeg = {v: len(g.in_edges(v)) for v in g.vertices}
-    queue = deque(v for v in g.vertices if indeg[v] == 0)
-    removed = 0
-    while queue:
-        v = queue.popleft()
-        removed += 1
-        for e in g.out_edges(v):
-            indeg[e.dst] -= 1
-            if indeg[e.dst] == 0:
-                queue.append(e.dst)
-    return removed == len(g.vertices)
+def _kahn(successors: Mapping[str, Iterable[str]]) -> list[str]:
+    """Kahn's algorithm over the nodes (the mapping's keys, in order).
 
-
-def topological_order(g: DirectedMultigraph) -> tuple[str, ...]:
-    """Vertices in an order compatible with the edges; g must be acyclic."""
-    indeg = {v: len(g.in_edges(v)) for v in g.vertices}
-    queue = deque(v for v in g.vertices if indeg[v] == 0)
+    Returns the nodes in topological order; on a cycle the list stops
+    short of the nodes on or behind it.
+    """
+    indeg = dict.fromkeys(successors, 0)
+    for ws in successors.values():
+        for w in ws:
+            indeg[w] += 1
+    queue = deque(v for v, d in indeg.items() if d == 0)
     order: list[str] = []
     while queue:
         v = queue.popleft()
         order.append(v)
-        for e in g.out_edges(v):
-            indeg[e.dst] -= 1
-            if indeg[e.dst] == 0:
-                queue.append(e.dst)
+        for w in successors[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return order
+
+
+def _successors(g: DirectedMultigraph) -> dict[str, list[str]]:
+    return {v: [e.dst for e in g.out_edges(v)] for v in g.vertices}
+
+
+def is_acyclic(g: DirectedMultigraph) -> bool:
+    """True iff the graph contains no directed cycle."""
+    return len(_kahn(_successors(g))) == len(g.vertices)
+
+
+def topological_order(g: DirectedMultigraph) -> tuple[str, ...]:
+    """Vertices in an order compatible with the edges; g must be acyclic."""
+    order = _kahn(_successors(g))
     if len(order) != len(g.vertices):
         raise GraphFormatError("graph has a cycle")
     return tuple(order)
 
 
+def bfs_distances(
+    g: DirectedMultigraph, roots: Iterable[str]
+) -> dict[str, int]:
+    """Shortest path length from the root set to each reachable vertex."""
+    dist: dict[str, int] = {}
+    queue: deque[str] = deque()
+    for v in roots:
+        g._require_vertex(v)
+        if v not in dist:
+            dist[v] = 0
+            queue.append(v)
+    while queue:
+        v = queue.popleft()
+        for e in g.out_edges(v):
+            if e.dst not in dist:
+                dist[e.dst] = dist[v] + 1
+                queue.append(e.dst)
+    return dist
+
+
 def hereditary_closure(g: DirectedMultigraph, X: Iterable[str]) -> set[str]:
     """Smallest hereditary (forward-closed) vertex set containing X."""
-    todo = deque()
-    for v in X:
-        g._require_vertex(v)
-        todo.append(v)
-    closure: set[str] = set(todo)
-    while todo:
-        v = todo.popleft()
-        for e in g.out_edges(v):
-            if e.dst not in closure:
-                closure.add(e.dst)
-                todo.append(e.dst)
-    return closure
+    return set(bfs_distances(g, X))
 
 
 def is_hereditary(g: DirectedMultigraph, X: Iterable[str]) -> bool:

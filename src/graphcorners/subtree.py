@@ -8,7 +8,6 @@ corner construction requires.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -16,6 +15,8 @@ from .multigraph import (
     DirectedMultigraph,
     GraphFormatError,
     Path,
+    _kahn,
+    bfs_distances,
     hereditary_closure,
 )
 
@@ -70,6 +71,7 @@ def validate_subtree(
     violations: list[str] = []
 
     incoming: dict[str, list[str]] = {}
+    children: dict[str, list[str]] = {v: [] for v in closure}
     for name in edge_names:
         e = host.edge(name)
         outside = [w for w in (e.src, e.dst) if w not in closure]
@@ -78,6 +80,8 @@ def validate_subtree(
                 f"tree edge {name!r} has endpoint {w!r} outside the "
                 f"spanned vertex set"
             )
+        if not outside:
+            children[e.src].append(e.dst)
         incoming.setdefault(e.dst, []).append(name)
 
     for v in sorted(incoming):
@@ -101,7 +105,7 @@ def validate_subtree(
                 f"tree edge"
             )
 
-    if _tree_has_cycle(host, edge_names, closure):
+    if len(_kahn(children)) != len(closure):
         violations.append("cycle among tree edges")
 
     if violations:
@@ -115,28 +119,6 @@ def validate_subtree(
         roots=frozenset(root_set),
         parent=parent,
     )
-
-
-def _tree_has_cycle(
-    host: DirectedMultigraph, edge_names: list[str], closure: set[str]
-) -> bool:
-    out: dict[str, list[str]] = {v: [] for v in closure}
-    indeg = {v: 0 for v in closure}
-    for name in edge_names:
-        e = host.edge(name)
-        if e.src in closure and e.dst in closure:
-            out[e.src].append(e.dst)
-            indeg[e.dst] += 1
-    queue = deque(v for v in closure if indeg[v] == 0)
-    removed = 0
-    while queue:
-        v = queue.popleft()
-        removed += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return removed != len(closure)
 
 
 def root_path(tree: DirectedSubtree, v: str) -> Path:
@@ -175,26 +157,6 @@ def descendants(tree: DirectedSubtree, v: str) -> tuple[str, ...]:
         order.extend(level)
         frontier = level
     return tuple(order)
-
-
-def bfs_distances(
-    host: DirectedMultigraph, roots: Iterable[str]
-) -> dict[str, int]:
-    """Shortest path length from the root set to each reachable vertex."""
-    dist: dict[str, int] = {}
-    queue: deque[str] = deque()
-    for v in roots:
-        host._require_vertex(v)
-        if v not in dist:
-            dist[v] = 0
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for e in host.out_edges(v):
-            if e.dst not in dist:
-                dist[e.dst] = dist[v] + 1
-                queue.append(e.dst)
-    return dist
 
 
 def build_spanning_subtree(

@@ -8,6 +8,7 @@ code they cross-check.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Iterator
 
 from graphcorners import (
@@ -140,6 +141,18 @@ def enumerate_paths(
             yield from walk(e.dst, acc + (e.name,))
 
     yield from walk(start, ())
+
+
+def enumerated_dimension_vector(
+    g: DirectedMultigraph, roots: list[str]
+) -> tuple[int, ...]:
+    """Block sizes of the compression of an acyclic graph algebra at
+    ``roots``: for each sink some root reaches, the number of paths from
+    the root set ending there, counted by enumerating every path."""
+    arrivals = Counter(
+        end for r in dict.fromkeys(roots) for end, _ in enumerate_paths(g, r)
+    )
+    return tuple(sorted(arrivals[s] for s in g.sinks() if arrivals[s]))
 
 
 def enumerate_simple_cycles(

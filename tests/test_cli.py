@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from graphcorners import parse_graph, serialize_graph
@@ -154,6 +156,35 @@ def test_fd_dims_command(files, capsys):
     assert code == 0 and out.strip() == "2"
     code, out, _ = run(capsys, ["fd-dims", path, "--roots", "u"])
     assert code == 0 and out.strip() == "1"
+
+
+def test_fd_dims_roots_on_long_chain(files, capsys):
+    n = 3000
+    text = "".join(f"vertex v{i}\n" for i in range(n)) + "".join(
+        f"edge e{i} v{i} v{i + 1}\n" for i in range(n - 1)
+    )
+    path = files("chain.graph", text)
+    code, out, err = run(capsys, ["fd-dims", path, "--roots", "v0"])
+    assert code == 0 and err == ""
+    assert out == "1\n"
+
+
+def test_fd_dims_roots_on_diamond_ladder(files, capsys):
+    # a_i -> b_i, c_i -> a_{i+1}: 2^60 paths from a0 to the sink a60.
+    n = 60
+    lines = [f"vertex a{i}" for i in range(n + 1)]
+    for i in range(n):
+        lines += [f"vertex b{i}", f"vertex c{i}"]
+        for mid in (f"b{i}", f"c{i}"):
+            lines += [f"edge {mid}in a{i} {mid}",
+                      f"edge {mid}out {mid} a{i + 1}"]
+    path = files("ladder.graph", "\n".join(lines) + "\n")
+    begin = time.perf_counter()
+    code, out, _ = run(capsys, ["fd-dims", path, "--roots", "a0"])
+    took = time.perf_counter() - begin
+    assert code == 0
+    assert out == f"{2 ** 60}\n"
+    assert took < 1.0
 
 
 def test_fd_dims_rejects_cycles(files, capsys):

@@ -24,6 +24,7 @@ from sample_graphs import (
     cyc6,
     edge1,
     enumerate_paths,
+    enumerated_dimension_vector,
     parallel_edges,
     pqr,
     random_bfs_tree,
@@ -177,6 +178,15 @@ class TestDimensionVectors:
     def test_corner_dim_unknown_vertex(self):
         with pytest.raises(GraphFormatError):
             corner_dimension_vector(edge1(), ["zz"])
+
+    def test_corner_dim_against_enumeration(self):
+        for seed in range(50):
+            rng = random.Random(seed)
+            g = random_dag(rng, max_v=7, max_e=12)
+            roots = random_vertex_subset(rng, g)
+            assert corner_dimension_vector(g, roots) == (
+                enumerated_dimension_vector(g, roots)
+            )
 
     def test_full_roots_match_fd(self):
         for seed in range(50):

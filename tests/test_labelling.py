@@ -11,7 +11,6 @@ from graphcorners import (
     Path,
     are_isomorphic,
     cycle_labels_trivial,
-    fixed_point_graph,
     fixed_point_pipeline,
     is_acyclic,
     kirchhoff_check,
@@ -96,6 +95,11 @@ class TestLabelling:
         g = DirectedMultigraph(["a"], [("e", "a", "a", "1,2")])
         with pytest.raises(GraphFormatError):
             Labelling.from_graph(g, GroupSpec.parse("z5"))
+
+    def test_from_map_rejects_unknown_edge(self):
+        g = DirectedMultigraph(["a"], [("e", "a", "a")])
+        with pytest.raises(GraphFormatError, match="'typo'"):
+            Labelling.from_map(g, GroupSpec.parse("z5"), {"e": 1, "typo": 1})
 
 
 class TestPathLabel:
@@ -261,6 +265,12 @@ class TestReachableSkew:
         with pytest.raises(ValueError, match="at least"):
             reachable_skew(g, c, 2)
 
+    def test_finite_group_ignores_cap(self):
+        g, c = rose2_z3()
+        reach = reachable_skew(g, c, 1)
+        assert len(reach.vertices) == 3
+        assert fixed_point_pipeline(g, c, 1).skew == reach
+
 
 class TestKirchhoff:
     def test_acyclic_always_passes(self):
@@ -388,13 +398,13 @@ class TestFixedPoint:
         for seed in range(10):
             g = random_multigraph(random.Random(seed), max_v=5, max_e=8)
             c = Labelling.from_graph(g, GroupSpec.parse("z1"))
-            corner = fixed_point_graph(g, c, 100).graph
+            corner = fixed_point_pipeline(g, c, 100).corner.graph
             assert are_isomorphic(corner, g).isomorphic
 
     def test_gauge_labelling_on_single_edge(self):
         g = edge1()
         c = Labelling.from_graph(g, GroupSpec.parse("z"))
-        corner = fixed_point_graph(g, c, 100).graph
+        corner = fixed_point_pipeline(g, c, 100).corner.graph
         assert set(corner.vertices) == {"v@0", "v@-1"}
         assert corner.edges == ()
 
@@ -402,7 +412,7 @@ class TestFixedPoint:
         g = single_loop("1")
         c = Labelling.from_graph(g, GroupSpec.parse("z"))
         with pytest.raises(CapExceededError):
-            fixed_point_graph(g, c, 50)
+            fixed_point_pipeline(g, c, 50).corner
 
     def test_deterministic(self):
         g, c = rose2_z3()
