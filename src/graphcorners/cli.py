@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 negative decision (iso, check-kirchhoff FAIL),
-2 input or validation error, 3 vertex cap exceeded or UNKNOWN.
+2 input or validation error, 3 vertex cap or K-theory bit budget exceeded,
+or UNKNOWN.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from pathlib import Path as FilePath
 
 from .corner import corner_graph
 from .invariants import (
+    BitBudgetExceededError,
     corner_dimension_vector,
     fd_dimension_vector,
     k_theory,
@@ -276,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         for violation in exc.violations:
             print(violation, file=sys.stderr)
         return 2
-    except CapExceededError as exc:
+    except (CapExceededError, BitBudgetExceededError) as exc:
         print(exc, file=sys.stderr)
         return 3
     except (GraphFormatError, ValueError, OSError) as exc:

@@ -1,10 +1,13 @@
 """Exact integer invariants: Smith normal form, K-theory, dimension vectors.
 
-All arithmetic is over Python integers, so results are exact, but the
-transform-tracking Smith normal form lets entries grow far faster than
-the matrix: ``k_theory`` of a random graph with 120 vertices and 360
-edges takes 0.2 s, one with 200 vertices and 600 edges has not finished
-after 60 s.
+All arithmetic is over Python integers, so results are exact.
+``smith_normal_form`` records its transforms, and their entries grow far
+faster than the matrix, so it serves small matrices and the tests.
+``k_theory`` needs only the invariant factors: ``invariant_factors``
+eliminates unit pivots in sparse form, then finishes a small dense
+remainder modulo one of its minors, so no entry outgrows that minor.  It
+raises ``BitBudgetExceededError`` rather than run on with entries longer
+than ``BIT_BUDGET`` bits.
 """
 
 from __future__ import annotations
@@ -16,6 +19,26 @@ from .multigraph import (
     DirectedMultigraph,
     topological_order,
 )
+
+# The dense stage of ``invariant_factors`` gives up once one of its entries
+# is longer than this.  Random graphs with 1500 vertices and 4500 edges
+# reach about 300 bits, the benchmark's k-theory graphs at most 31.
+BIT_BUDGET = 1 << 14
+
+
+class BitBudgetExceededError(RuntimeError):
+    """An entry of the dense remainder grew past ``BIT_BUDGET`` bits."""
+
+    def __init__(self, pivots: int, rows: int, cols: int, bits: int) -> None:
+        super().__init__(
+            f"invariant factors: an entry of {bits} bits exceeds the budget "
+            f"of {BIT_BUDGET} bits after {pivots} pivots, with a dense "
+            f"remainder of {rows}x{cols}"
+        )
+        self.pivots = pivots
+        self.rows = rows
+        self.cols = cols
+        self.bits = bits
 
 
 @dataclass(frozen=True)
@@ -243,6 +266,193 @@ def rational_rank(M: IntegerMatrix) -> int:
     return rank
 
 
+def invariant_factors(rows: dict[int, dict[int, int]]) -> tuple[int, ...]:
+    """The nonzero invariant factors d1 | d2 | ... of a sparse integer
+    matrix, without transforms; their count is its rank.
+
+    ``rows`` maps a row index to ``{column index: entry}``.  Unit pivots
+    are eliminated in sparse form first.  On the dense rest A,
+    fraction-free elimination gives the rank r and a nonzero r x r minor
+    D, which every factor d_i divides.  The cokernel of A tensored with
+    Z/D is the sum of the Z/d_i and one Z/D per further row, so a
+    diagonal form over Z/D, whose entries stay below D, gives the
+    factors: the first r of its chain.
+    """
+    from math import gcd
+
+    units, A = _eliminate_units(rows)
+    if not A:
+        return (1,) * units
+    rank, D = _rank_and_minor(A, units)
+    found = _diagonal_mod(A, D)
+    found = [d for d in found if d > 1] + [D] * (len(A) - len(found))
+    # Fold each pair into (gcd, lcm) until d1 | d2 | ...
+    found.sort()
+    for i in range(len(found)):
+        for j in range(i + 1, len(found)):
+            a, b = found[i], found[j]
+            g = gcd(a, b)
+            found[i], found[j] = g, a // g * b
+    chain = [1] * (units + len(A) - len(found)) + found
+    return tuple(chain[:units + rank])
+
+
+def _eliminate_units(
+    rows: dict[int, dict[int, int]],
+) -> tuple[int, list[list[int]]]:
+    """Eliminate +-1 pivots in Markowitz order, least
+    (row nnz - 1) * (column nnz - 1) first; return their count and the
+    dense rest, zero rows and columns dropped.
+
+    A unit pivot splits off Z/1 and leaves the Schur complement, whose
+    invariant factors are the remaining ones.  The heap keeps each
+    candidate's cost as of its push; a popped candidate whose cost has
+    grown since goes back with its new cost.
+    """
+    # Imported here, so that importing the package loads nothing new.
+    from heapq import heapify, heappop, heappush
+
+    rows = {r: {c: x for c, x in row.items() if x} for r, row in rows.items()}
+    rows = {r: row for r, row in rows.items() if row}
+    cols: dict[int, set[int]] = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    heap = [
+        ((len(row) - 1) * (len(cols[c]) - 1), r, c)
+        for r, row in rows.items()
+        for c, x in row.items()
+        if x == 1 or x == -1
+    ]
+    heapify(heap)
+    units = 0
+    while heap:
+        cost, r, c = heappop(heap)
+        pivot_row = rows.get(r)
+        if pivot_row is None or pivot_row.get(c) not in (1, -1):
+            continue
+        now = (len(pivot_row) - 1) * (len(cols[c]) - 1)
+        if now > cost:
+            heappush(heap, (now, r, c))
+            continue
+        p = pivot_row.pop(c)
+        del rows[r]
+        for c2 in pivot_row:
+            cols[c2].discard(r)
+        touched = cols.pop(c)
+        touched.discard(r)
+        for r2 in touched:
+            row = rows[r2]
+            f = row.pop(c) * p  # p == 1 / p
+            for c2, y in pivot_row.items():
+                z = row.get(c2, 0) - f * y
+                if z:
+                    if c2 not in row:
+                        cols[c2].add(r2)
+                    row[c2] = z
+                elif c2 in row:
+                    del row[c2]
+                    cols[c2].discard(r2)
+            if not row:
+                del rows[r2]
+                continue
+            width = len(row) - 1
+            for c2, y in row.items():
+                if y == 1 or y == -1:
+                    heappush(heap, (width * (len(cols[c2]) - 1), r2, c2))
+        for c2 in pivot_row:
+            if not cols[c2]:
+                del cols[c2]
+        units += 1
+    left = sorted(cols)
+    return units, [[row.get(c, 0) for c in left] for row in rows.values()]
+
+
+def _rank_and_minor(A: list[list[int]], pivots: int) -> tuple[int, int]:
+    """Rank r of A and |a nonzero r x r minor|, by fraction-free
+    (Bareiss) elimination; raises once a pivot row holds an entry longer
+    than ``BIT_BUDGET`` bits.  ``pivots`` counts those taken before."""
+    m, n = len(A), len(A[0])
+    B = [row[:] for row in A]
+    rank, prev = 0, 1
+    for col in range(n):
+        t = next((i for i in range(rank, m) if B[i][col]), None)
+        if t is None:
+            continue
+        B[rank], B[t] = B[t], B[rank]
+        P = B[rank]
+        bits = max(map(abs, P)).bit_length()
+        if bits > BIT_BUDGET:
+            raise BitBudgetExceededError(pivots + rank, m, n, bits)
+        a = P[col]
+        for i in range(rank + 1, m):
+            R = B[i]
+            b = R[col]
+            if b:
+                B[i] = [(a * x - b * y) // prev for x, y in zip(R, P)]
+            elif a != prev:
+                B[i] = [a * x // prev for x in R]
+        prev = a
+        rank += 1
+    return rank, abs(prev)
+
+
+def _diagonal_mod(A: list[list[int]], D: int) -> list[int]:
+    """gcd(p, D) for each pivot p of a diagonal form of A over Z/D.
+
+    Rows are combined in pairs by extended gcd, so the pivot column
+    clears in one pass.  A pivot row entry that is no multiple of the
+    pivot over Z/D is folded into the pivot column by a column pair; that
+    strictly lowers gcd(pivot, D), and the row pass runs again.
+    """
+    from math import gcd
+
+    rows = [r for r in ([x % D for x in row] for row in A) if any(r)]
+    diagonal = []
+    while rows:
+        j = next(c for c in range(len(rows[0])) if any(r[c] for r in rows))
+        t = min((i for i, r in enumerate(rows) if r[j]),
+                key=lambda i: rows[i][j])
+        rows[0], rows[t] = rows[t], rows[0]
+        while True:
+            P = rows[0]
+            a = P[j]
+            for i in range(1, len(rows)):
+                R = rows[i]
+                b = R[j]
+                if not b:
+                    continue
+                if b % a == 0:
+                    q = b // a
+                    rows[i] = [(w - q * s) % D for s, w in zip(P, R)]
+                else:
+                    x, y, g = _xgcd(a, b)
+                    u, v = b // g, a // g
+                    P, rows[i] = (
+                        [(x * s + y * w) % D for s, w in zip(P, R)],
+                        [(v * w - u * s) % D for s, w in zip(P, R)],
+                    )
+                    a = P[j]
+            rows[0] = P
+            g = gcd(a, D)
+            k = next((k for k, w in enumerate(P) if w % g), None)
+            if k is None:
+                break
+            x, y, h = _xgcd(a, P[k])
+            u, v = P[k] // h, a // h
+            for R in rows:
+                s, w = R[j], R[k]
+                R[j] = (x * s + y * w) % D
+                R[k] = (v * w - u * s) % D
+        diagonal.append(g)
+        rows = [
+            r for r in ([w for c, w in enumerate(R) if c != j]
+                        for R in rows[1:])
+            if any(r)
+        ]
+    return diagonal
+
+
 def vertex_matrix(g: DirectedMultigraph) -> IntegerMatrix:
     """Edge multiplicity matrix: entry (v, w) counts the edges v -> w."""
     index = {v: i for i, v in enumerate(g.vertices)}
@@ -276,28 +486,25 @@ def k_theory(g: DirectedMultigraph) -> KTheoryResult:
 
     K0 is the cokernel and K1 the kernel of (A^t - I) restricted to the
     columns of the regular (emitting) vertices, as a map from Z^regular
-    to Z^vertices.
+    to Z^vertices.  The map is built sparse, straight from the out-edges.
     """
-    vertices = g.vertices
-    regular = [v for v in vertices if g.out_edges(v)]
-    A = vertex_matrix(g)
-    vindex = {v: i for i, v in enumerate(vertices)}
-    rows = []
-    for w in vertices:
-        row = []
-        for v in regular:
-            a = A.entries[vindex[v]][vindex[w]]
-            row.append(a - (1 if v == w else 0))
-        rows.append(row)
-    B = IntegerMatrix(
-        len(vertices), len(regular),
-        tuple(tuple(r) for r in rows), vertices, tuple(regular),
-    )
-    snf = smith_normal_form(B)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    rows: dict[int, dict[int, int]] = {i: {} for i in index.values()}
+    regular = 0
+    for v, i in index.items():
+        out = g.out_edges(v)
+        if not out:
+            continue
+        for e in out:
+            row = rows[index[e.dst]]
+            row[regular] = row.get(regular, 0) + 1
+        rows[i][regular] = rows[i].get(regular, 0) - 1
+        regular += 1
+    factors = invariant_factors(rows)
     return KTheoryResult(
-        k0_free_rank=len(vertices) - snf.rank,
-        k0_invariant_factors=tuple(d for d in snf.factors if d > 1),
-        k1_rank=len(regular) - snf.rank,
+        k0_free_rank=len(index) - len(factors),
+        k0_invariant_factors=tuple(d for d in factors if d > 1),
+        k1_rank=regular - len(factors),
     )
 
 

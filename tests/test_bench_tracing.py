@@ -2,7 +2,8 @@
 
 ``bench/tracing.py`` patches module globals and methods of the program by
 name; a rename or a removal in ``src/`` would break the traced benchmark
-run.  This runs one small ``acyclic`` job under the tracer.
+run.  This runs one small ``acyclic`` job and one small ``k-theory`` job
+under the tracer.
 """
 
 import contextlib
@@ -20,10 +21,12 @@ from workloads import SMALL, WORKLOADS  # noqa: E402
 from graphcorners import cli  # noqa: E402
 
 
-def test_traced_acyclic_job(tmp_path):
-    workload = WORKLOADS["acyclic"]
-    g = workload.make(random.Random("tracing"), **SMALL["acyclic"])
-    path = tmp_path / "dag.graph"
+def traced_job(tmp_path, name):
+    """Run one small job of a workload under the tracer; return its exit
+    codes and the recorder."""
+    workload = WORKLOADS[name]
+    g = workload.make(random.Random("tracing"), **SMALL[name])
+    path = tmp_path / "job.graph"
     path.write_text(g.text(), encoding="utf-8")
     original_main = cli.main
 
@@ -36,10 +39,20 @@ def test_traced_acyclic_job(tmp_path):
                      for argv in workload.commands(str(path), g)]
     finally:
         recorder.uninstall()
+    assert cli.main is original_main
+    return codes, recorder
 
+
+def test_traced_acyclic_job(tmp_path):
+    codes, recorder = traced_job(tmp_path, "acyclic")
     assert codes == [0] * len(codes)
     assert {
         "cli", "multigraph.parse", "subtree.descendants", "corner.corner",
     } <= set(recorder.names)
     assert recorder.counts["multigraph.init_calls"] > 0
-    assert cli.main is original_main
+
+
+def test_traced_k_theory_job(tmp_path):
+    codes, recorder = traced_job(tmp_path, "k-theory")
+    assert codes == [0]
+    assert {"cli", "multigraph.parse", "invariants.kth"} <= set(recorder.names)

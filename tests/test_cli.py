@@ -1,8 +1,9 @@
+import random
 import time
 
 import pytest
 
-from graphcorners import parse_graph, serialize_graph
+from graphcorners import invariants, parse_graph, serialize_graph
 from graphcorners.cli import main
 
 from sample_graphs import cyc6, edge1, pqr, rose2, single_loop
@@ -148,6 +149,32 @@ def test_kth_command(files, capsys):
     code, out, _ = run(capsys, ["kth", p111])
     assert code == 0
     assert out == "K0 = Z^1\nK1 = Z^1\n"
+
+
+def test_kth_on_200_vertices_600_edges(files, capsys):
+    # The transform-tracking Smith normal form did not finish this in 60 s.
+    rng = random.Random(5)
+    vs = [f"v{i}" for i in range(200)]
+    lines = [f"vertex {v}" for v in vs] + [
+        f"edge e{k} {rng.choice(vs)} {rng.choice(vs)}" for k in range(600)
+    ]
+    path = files("random200.graph", "\n".join(lines) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["kth", path])
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (0, "K0 = Z^7\nK1 = Z^1\n", "")
+    assert run(capsys, ["kth", path]) == (code, out, err)
+
+
+def test_kth_bit_budget_exit_3(files, capsys, monkeypatch):
+    monkeypatch.setattr(invariants, "BIT_BUDGET", 1)
+    rose4 = "vertex v\n" + "".join(f"edge l{i} v v\n" for i in range(4))
+    code, out, err = run(capsys, ["kth", files("rose4.graph", rose4)])
+    assert code == 3 and out == ""
+    assert err.strip() == (
+        "invariant factors: an entry of 2 bits exceeds the budget of 1 "
+        "bits after 0 pivots, with a dense remainder of 1x1"
+    )
 
 
 def test_fd_dims_command(files, capsys):

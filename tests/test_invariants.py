@@ -3,15 +3,19 @@ from collections import Counter
 
 import pytest
 
+from graphcorners import invariants
 from graphcorners import (
+    BitBudgetExceededError,
     DirectedMultigraph,
     GraphFormatError,
     IntegerMatrix,
     KTheoryResult,
+    build_spanning_subtree,
     corner_dimension_vector,
     corner_graph,
     fd_dimension_vector,
     hereditary_closure,
+    invariant_factors,
     k_theory,
     rational_rank,
     relabelled,
@@ -106,6 +110,95 @@ class TestSmith:
             assert snf.rank == rational_rank(M)
 
 
+def shaped_matrix(rng):
+    """A small integer matrix in one of five shapes: plain, without unit
+    entries, rank-deficient, with zero rows, or a diagonal with chosen
+    factors scrambled by unimodular row and column operations."""
+    m, n = rng.randint(1, 7), rng.randint(0, 7)
+    span = rng.choice((1, 4, 9))
+    rows = [[rng.randint(-span, span) for _ in range(n)] for _ in range(m)]
+    style = rng.randrange(5)
+    if style == 1:
+        rows = [[x * rng.choice((2, 3)) for x in r] for r in rows]
+    elif style == 2:
+        k = rng.randint(0, max(0, min(m, n) - 1))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        rows = [
+            [sum(a * b[j] for a, b in zip(row, right)) for j in range(n)]
+            for row in left
+        ]
+    elif style == 3:
+        for r in rng.sample(range(m), rng.randint(1, m)):
+            rows[r] = [0] * n
+    elif style == 4:
+        rows = [[0] * n for _ in range(m)]
+        for i in range(min(m, n)):
+            rows[i][i] = rng.choice((0, 1, 2, 3, 4, 6, 12))
+        for _ in range(12):
+            if m > 1:
+                i, j = rng.sample(range(m), 2)
+                q = rng.randint(-2, 2)
+                rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+            if n > 1:
+                i, j = rng.sample(range(n), 2)
+                q = rng.randint(-2, 2)
+                for row in rows:
+                    row[i] += q * row[j]
+    return rows
+
+
+def sparse(rows):
+    return {i: dict(enumerate(row)) for i, row in enumerate(rows)}
+
+
+class TestInvariantFactors:
+    def test_against_smith_normal_form(self):
+        for seed in range(300):
+            rows = shaped_matrix(random.Random(seed))
+            M = IntegerMatrix.from_rows(rows)
+            snf = smith_normal_form(M)
+            factors = invariant_factors(sparse(rows))
+            assert factors == snf.factors, rows
+            assert len(factors) == snf.rank == rational_rank(M)
+
+    def test_against_sympy(self):
+        pytest.importorskip("sympy")
+        from sympy import ZZ, Matrix
+        from sympy.matrices.normalforms import (
+            invariant_factors as sympy_factors,
+        )
+
+        for seed in range(60):
+            rows = shaped_matrix(random.Random(seed))
+            if not rows[0]:
+                continue
+            expected = sympy_factors(Matrix(rows), domain=ZZ)
+            assert invariant_factors(sparse(rows)) == tuple(
+                abs(int(d)) for d in expected if d
+            ), rows
+
+    def test_zero_and_empty(self):
+        assert invariant_factors({}) == ()
+        assert invariant_factors({0: {}, 1: {}}) == ()
+        assert invariant_factors({0: {0: 0, 1: 0}}) == ()
+
+    def test_torsion_chain(self):
+        # diag(4, 6) has factors 2 | 12; no entry is a unit.
+        assert invariant_factors({0: {0: 4}, 1: {1: 6}}) == (2, 12)
+
+    def test_bit_budget(self, monkeypatch):
+        monkeypatch.setattr(invariants, "BIT_BUDGET", 1)
+        with pytest.raises(BitBudgetExceededError) as caught:
+            invariant_factors({0: {0: 1, 1: 1}, 1: {0: 1, 1: 4}})
+        assert (caught.value.pivots, caught.value.rows,
+                caught.value.cols, caught.value.bits) == (1, 1, 1, 2)
+        assert "2 bits exceeds the budget of 1 bits after 1 pivots" in str(
+            caught.value
+        )
+        assert "dense remainder of 1x1" in str(caught.value)
+
+
 class TestKTheory:
     def test_single_vertex(self):
         assert k_theory(single_vertex()) == KTheoryResult(1, (), 0)
@@ -151,6 +244,24 @@ class TestKTheory:
             rng.shuffle(perm)
             h2 = DirectedMultigraph(perm, h.edges)
             assert k_theory(g) == k_theory(h) == k_theory(h2)
+
+    def test_against_dense_smith_normal_form(self):
+        for seed in range(60):
+            g = random_multigraph(random.Random(seed), max_v=8, max_e=16)
+            A = vertex_matrix(g).entries
+            regular = [i for i, v in enumerate(g.vertices) if g.out_edges(v)]
+            B = IntegerMatrix.from_rows(
+                [
+                    [A[j][i] - (i == j) for j in regular]
+                    for i in range(len(g.vertices))
+                ]
+            )
+            snf = smith_normal_form(B)
+            assert k_theory(g) == KTheoryResult(
+                len(g.vertices) - snf.rank,
+                tuple(d for d in snf.factors if d > 1),
+                len(regular) - snf.rank,
+            )
 
 
 class TestDimensionVectors:
@@ -241,3 +352,29 @@ class TestFullCornerKTheory:
             f"{skipped} skipped (guard) of {checked + skipped}"
         )
         assert checked >= 20
+
+    def test_full_corners_share_k_theory_at_scale(self):
+        # A few hundred vertices, edges four times as many, and roses for
+        # torsion in K0: sizes at which the transform-tracking Smith normal
+        # form stalled.
+        checked = 0
+        for seed in range(4):
+            rng = random.Random(seed)
+            n = 300
+            vs = [f"v{i}" for i in range(n)]
+            edges = [(rng.choice(vs), rng.choice(vs)) for _ in range(4 * n)]
+            for r in range(3):
+                edges.append((rng.choice(vs), f"r{r}"))
+                edges += [(f"r{r}", f"r{r}")] * rng.randint(3, 7)
+            g = DirectedMultigraph(
+                vs + [f"r{r}" for r in range(3)],
+                [(f"e{k}", u, w) for k, (u, w) in enumerate(edges)],
+            )
+            roots = rng.sample(vs, 3)
+            if saturate(g, hereditary_closure(g, roots)) != set(g.vertices):
+                continue
+            checked += 1
+            corner = corner_graph(g, build_spanning_subtree(g, roots)).graph
+            assert k_theory(g).k0_invariant_factors
+            assert k_theory(corner) == k_theory(g)
+        assert checked >= 3
