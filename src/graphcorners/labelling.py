@@ -5,6 +5,9 @@ Groups are finite direct products of cyclic factors: ``z`` (infinite) and
 coordinate tuples, canonical modulo each finite factor, encoded as
 comma-joined decimals.  Inside vertex and edge names the coordinates are
 joined with ``.`` instead, since ``,`` is outside the name alphabet.
+
+``skew_product`` and ``reachable_skew`` share one breadth-first walk over
+the skew states (v, g): from every state, or from the identity fibre.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .multigraph import (
     Edge,
     GraphFormatError,
     Path,
+    _strongly_connected_components,
     is_acyclic,
     path_range,
 )
@@ -178,15 +182,11 @@ def path_label(c: Labelling, mu: Path) -> Element:
     return acc
 
 
-def _at(v: str, enc: str) -> str:
-    return f"{v}@{enc}"
-
-
 def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
     """The full skew product graph for a finite group labelling.
 
     Vertices are pairs (v, g); the edge (e, g) runs from (s(e), c(e)+g)
-    to (r(e), g).
+    to (r(e), g).  Vertices are ordered by v, then g; edges by e, then g.
     """
     _check_labelling(host, c)
     group = c.group
@@ -195,21 +195,10 @@ def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
             "skew product of an infinite group is infinite; "
             "use reachable_skew"
         )
-    elements = list(group.elements())
-    encs = {g: group.name_encode(g) for g in elements}
-    vertices = [_at(v, encs[g]) for v in host.vertices for g in elements]
-    edges = []
-    for e in host.edges:
-        lab = c.label(e.name)
-        for g in elements:
-            edges.append(
-                Edge(
-                    _at(e.name, encs[g]),
-                    _at(e.src, encs[group.op(lab, g)]),
-                    _at(e.dst, encs[g]),
-                )
-            )
-    return DirectedMultigraph(vertices, edges)
+    seeds = [(v, g) for v in host.vertices for g in group.elements()]
+    vertices, edges = _explore(host, c, seeds, len(seeds))
+    edges.sort()
+    return DirectedMultigraph(vertices, [e for _, _, e in edges])
 
 
 def reachable_skew(
@@ -229,40 +218,51 @@ def reachable_skew(
     group = c.group
     if group.is_finite:
         cap = max(cap, len(host.vertices) * group.order)
-    ident = group.identity
+    seeds = [(v, group.identity) for v in host.vertices]
+    vertices, edges = _explore(host, c, seeds, cap)
+    return DirectedMultigraph(vertices, [e for _, _, e in edges])
 
-    seen: dict[tuple[str, Element], str] = {}
-    order: list[str] = []
-    queue: deque[tuple[str, Element]] = deque()
-    for v in host.vertices:
-        state = (v, ident)
-        seen[state] = _at(v, group.name_encode(ident))
-        order.append(seen[state])
-        queue.append(state)
 
-    edges: list[Edge] = []
+def _explore(
+    host: DirectedMultigraph, c: Labelling, seeds: list, cap: int
+) -> tuple[list[str], list[tuple[int, Element, Edge]]]:
+    """Breadth-first walk over the skew states (v, g) from ``seeds``.
+
+    Returns the state names in discovery order and the skew edges in the
+    order their sources are dequeued, tagged (host edge position, fibre
+    element).  Needing more than ``cap`` states raises CapExceededError.
+    """
+    group = c.group
+    # The edge (e, s) runs from (s(e), c(e)+s), so the edges leaving the
+    # state (v, t) have s = t - c(e).  ``shifted`` keeps (-c(e), t) ->
+    # (s, name encoding of s), so each sum and encoding is made once.
+    shifted: dict[tuple[Element, Element], tuple[Element, str]] = {}
+    out: dict[str, list] = {v: [] for v in host.vertices}
+    for i, e in enumerate(host.edges):
+        out[e.src].append((i, e.name, e.dst, group.inverse(c.by_edge[e.name])))
+    encs = {g: group.name_encode(g) for g in {g for _, g in seeds}}
+    names = {(v, g): f"{v}@{encs[g]}" for v, g in seeds}
+    queue = deque(names.items())
+    edges: list[tuple[int, Element, Edge]] = []
     while queue:
-        v, t = queue.popleft()
-        src_name = seen[(v, t)]
-        for e in host.out_edges(v):
-            # An edge (e, s) has source (s(e), c(e)+s), so the edges leaving
-            # the vertex (v, t) are those with c(e)+s = t, i.e. s = t - c(e):
-            # stepping forward subtracts the label.
-            s = group.op(group.inverse(c.label(e.name)), t)
-            target = (e.dst, s)
-            if target not in seen:
-                if len(seen) + 1 > cap:
+        (v, t), src = queue.popleft()
+        for i, name, dst, step in out[v]:
+            hit = shifted.get((step, t))
+            if hit is None:
+                s = group.op(step, t)
+                hit = shifted[(step, t)] = (s, group.name_encode(s))
+            s, enc = hit
+            dst_name = names.get((dst, s))
+            if dst_name is None:
+                if len(names) >= cap:
                     raise CapExceededError(
                         f"closure exceeds cap {cap}: needs more than "
                         f"{cap} vertices"
                     )
-                seen[target] = _at(e.dst, group.name_encode(s))
-                order.append(seen[target])
-                queue.append(target)
-            edges.append(
-                Edge(_at(e.name, group.name_encode(s)), src_name, seen[target])
-            )
-    return DirectedMultigraph(order, edges)
+                dst_name = names[(dst, s)] = f"{dst}@{enc}"
+                queue.append(((dst, s), dst_name))
+            edges.append((i, s, Edge(f"{name}@{enc}", src, dst_name)))
+    return list(names.values()), edges
 
 
 @dataclass(frozen=True)
@@ -292,9 +292,11 @@ def kirchhoff_check(
     Finite groups are decided exactly.  Infinite factors are explored with
     coordinates capped at ``bound``; a transition past the bound makes a
     PASS answer unavailable (UNKNOWN), while a cycle found within the
-    bound is a genuine FAIL.
+    bound is a genuine FAIL.  A negative bound is rejected.
     """
     _check_labelling(host, c)
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
     if is_acyclic(host):
         return KirchhoffResult("PASS")
     group = c.group
@@ -312,7 +314,7 @@ def kirchhoff_check(
     def transitions(state: tuple[str, Element]):
         v, g = state
         for e in host.out_edges(v):
-            g2 = group.op(g, c.label(e.name))
+            g2 = group.op(g, c.by_edge[e.name])
             if g2 == ident:
                 continue
             yield e.name, (e.dst, g2)
@@ -387,7 +389,7 @@ def cycle_labels_trivial(
         pot, fwd = _component_tree(host, comp, base, c, forward=True)
         _, bwd = _component_tree(host, comp, base, c, forward=False)
         for e in internal:
-            if group.op(pot[e.src], c.label(e.name)) != pot[e.dst]:
+            if group.op(pot[e.src], c.by_edge[e.name]) != pot[e.dst]:
                 # One of the two closed walks below must carry a
                 # non-identity label; their difference is the mismatch.
                 through = fwd[e.src] + (e.name,) + bwd[e.dst]
@@ -415,52 +417,10 @@ def _component_tree(host, comp, base, c, forward):
             w = e.dst if forward else e.src
             if w not in comp or w in pot:
                 continue
-            if forward:
-                pot[w] = group.op(pot[v], c.label(e.name))
-                path[w] = path[v] + (e.name,)
-            else:
-                pot[w] = group.op(c.label(e.name), pot[v])
-                path[w] = (e.name,) + path[v]
+            pot[w] = group.op(pot[v], c.by_edge[e.name])
+            path[w] = path[v] + (e.name,) if forward else (e.name,) + path[v]
             queue.append(w)
     return pot, path
-
-
-def _strongly_connected_components(g: DirectedMultigraph) -> list[set[str]]:
-    finish: list[str] = []
-    seen: set[str] = set()
-    for v in g.vertices:
-        if v in seen:
-            continue
-        seen.add(v)
-        stack = [(v, iter(g.out_edges(v)))]
-        while stack:
-            u, it = stack[-1]
-            step = next(it, None)
-            if step is None:
-                finish.append(u)
-                stack.pop()
-                continue
-            w = step.dst
-            if w not in seen:
-                seen.add(w)
-                stack.append((w, iter(g.out_edges(w))))
-    comps: list[set[str]] = []
-    assigned: set[str] = set()
-    for v in reversed(finish):
-        if v in assigned:
-            continue
-        comp = {v}
-        assigned.add(v)
-        work = [v]
-        while work:
-            u = work.pop()
-            for e in g.in_edges(u):
-                if e.src not in assigned:
-                    assigned.add(e.src)
-                    comp.add(e.src)
-                    work.append(e.src)
-        comps.append(comp)
-    return comps
 
 
 @dataclass(frozen=True)
@@ -482,8 +442,7 @@ def fixed_point_pipeline(
     algebra fixed by the coaction the labelling induces.
     """
     skew = reachable_skew(host, c, cap)
-    ident_enc = c.group.name_encode(c.group.identity)
-    roots = [_at(v, ident_enc) for v in host.vertices]
+    roots = skew.vertices[: len(host.vertices)]
     tree = build_spanning_subtree(skew, roots)
     return FixedPointResult(skew, tree, corner_graph(skew, tree))
 

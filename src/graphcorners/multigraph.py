@@ -266,6 +266,44 @@ def bfs_distances(
     return dist
 
 
+def _strongly_connected_components(g: DirectedMultigraph) -> list[set[str]]:
+    finish: list[str] = []
+    seen: set[str] = set()
+    for v in g.vertices:
+        if v in seen:
+            continue
+        seen.add(v)
+        stack = [(v, iter(g.out_edges(v)))]
+        while stack:
+            u, it = stack[-1]
+            step = next(it, None)
+            if step is None:
+                finish.append(u)
+                stack.pop()
+                continue
+            w = step.dst
+            if w not in seen:
+                seen.add(w)
+                stack.append((w, iter(g.out_edges(w))))
+    comps: list[set[str]] = []
+    assigned: set[str] = set()
+    for v in reversed(finish):
+        if v in assigned:
+            continue
+        comp = {v}
+        assigned.add(v)
+        work = [v]
+        while work:
+            u = work.pop()
+            for e in g.in_edges(u):
+                if e.src not in assigned:
+                    assigned.add(e.src)
+                    comp.add(e.src)
+                    work.append(e.src)
+        comps.append(comp)
+    return comps
+
+
 def hereditary_closure(g: DirectedMultigraph, X: Iterable[str]) -> set[str]:
     """Smallest hereditary (forward-closed) vertex set containing X."""
     return set(bfs_distances(g, X))

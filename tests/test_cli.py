@@ -12,6 +12,7 @@ ROSE2 = serialize_graph(rose2())
 CYC6 = serialize_graph(cyc6())
 EDGE1 = serialize_graph(edge1())
 LOOP1 = serialize_graph(single_loop("1"))
+BALANCED = "vertex a\nvertex b\nedge e a b 1\nedge f b a -1\n"
 
 
 @pytest.fixture
@@ -259,6 +260,17 @@ def test_check_kirchhoff_unknown(files, capsys):
     assert code == 3 and out.strip() == "UNKNOWN"
 
 
+def test_check_kirchhoff_negative_bound_exit_2(files, capsys):
+    path = files("balanced.graph", BALANCED)
+    code, out, _ = run(capsys, ["check-kirchhoff", path, "--group", "z"])
+    assert code == 0 and out.strip() == "PASS"
+    code, out, err = run(
+        capsys, ["check-kirchhoff", path, "--group", "z", "--bound", "-1"]
+    )
+    assert code == 2 and out == ""
+    assert err == "bound must be non-negative\n"
+
+
 def test_check_kirchhoff_loops_only(files, capsys):
     path = files("rose2.graph", ROSE2)
     code, out, _ = run(
@@ -266,10 +278,7 @@ def test_check_kirchhoff_loops_only(files, capsys):
     )
     assert code == 1
     assert out.splitlines()[0] == "FAIL"
-    balanced = files(
-        "balanced.graph",
-        "vertex a\nvertex b\nedge e a b 1\nedge f b a -1\n",
-    )
+    balanced = files("balanced.graph", BALANCED)
     code, out, _ = run(
         capsys, ["check-kirchhoff", balanced, "--group", "z", "--loops-only"]
     )

@@ -37,6 +37,13 @@ def rose2_z3():
     return g, Labelling.from_graph(g, GroupSpec.parse("z3"))
 
 
+def edge_and_loop_z():
+    g = DirectedMultigraph(
+        ["u", "v"], [("a", "u", "v", "1"), ("l", "v", "v", "0")]
+    )
+    return g, Labelling.from_graph(g, GroupSpec.parse("z"))
+
+
 class TestGroupSpec:
     def test_parse(self):
         assert GroupSpec.parse("z").moduli == (0,)
@@ -138,6 +145,16 @@ class TestSkewProduct:
             ("f@1", "v@2", "v@1"),
             ("f@0", "v@1", "v@0"),
         }
+
+    def test_order_is_host_edge_then_element(self):
+        g = DirectedMultigraph(
+            ["v"], [("e", "v", "v", "1"), ("f", "v", "v", "2")]
+        )
+        sk = skew_product(g, Labelling.from_graph(g, GroupSpec.parse("z3")))
+        assert sk.vertices == ("v@0", "v@1", "v@2")
+        assert tuple(e.name for e in sk.edges) == (
+            "e@0", "e@1", "e@2", "f@0", "f@1", "f@2"
+        )
 
     def test_rose2_z3_isomorphic_to_cyc6(self):
         g, c = rose2_z3()
@@ -241,17 +258,20 @@ class TestReachableSkew:
         assert are_isomorphic(reach, skew_product(g, c)).isomorphic
 
     def test_infinite_group_example(self):
-        g = DirectedMultigraph(
-            ["u", "v"], [("a", "u", "v", "1"), ("l", "v", "v", "0")]
-        )
-        c = Labelling.from_graph(g, GroupSpec.parse("z"))
+        g, c = edge_and_loop_z()
         reach = reachable_skew(g, c, 100)
-        assert set(reach.vertices) == {"u@0", "v@0", "v@-1"}
-        assert {(e.name, e.src, e.dst) for e in reach.edges} == {
+        assert reach.vertices == ("u@0", "v@0", "v@-1")
+        assert tuple((e.name, e.src, e.dst) for e in reach.edges) == (
             ("a@-1", "u@0", "v@-1"),
             ("l@0", "v@0", "v@0"),
             ("l@-1", "v@-1", "v@-1"),
-        }
+        )
+
+    def test_cap_is_the_largest_vertex_count_allowed(self):
+        g, c = edge_and_loop_z()
+        assert len(reachable_skew(g, c, 3).vertices) == 3
+        with pytest.raises(CapExceededError, match="exceeds cap 2"):
+            reachable_skew(g, c, 2)
 
     def test_cap_exceeded(self):
         g = single_loop("1")
@@ -299,6 +319,16 @@ class TestKirchhoff:
         g = single_loop("1")
         c = Labelling.from_graph(g, GroupSpec.parse("z"))
         assert kirchhoff_check(g, c, bound=10).status == "UNKNOWN"
+
+    def test_negative_bound_rejected(self):
+        balanced = DirectedMultigraph(
+            ["a", "b"], [("e", "a", "b", "1"), ("f", "b", "a", "-1")]
+        )
+        for g in (balanced, edge1()):
+            c = Labelling.from_graph(g, GroupSpec.parse("z"))
+            assert kirchhoff_check(g, c).status == "PASS"
+            with pytest.raises(ValueError, match="bound"):
+                kirchhoff_check(g, c, bound=-1)
 
     def test_two_loops_over_z_fail(self):
         g = DirectedMultigraph(
