@@ -69,7 +69,7 @@ def _namelist(text: str) -> list[str]:
 def _emit_graph(g: DirectedMultigraph, args: argparse.Namespace) -> None:
     if getattr(args, "relabel", False):
         vmap = {v: f"v{i}" for i, v in enumerate(g.vertices)}
-        emap = {e.name: f"e{i}" for i, e in enumerate(g.edges)}
+        emap = {name: f"e{k}" for k, name in enumerate(g._names)}
         g = relabelled(g, vmap, emap)
     if getattr(args, "dot", False):
         sys.stdout.write(to_dot(g))
@@ -89,9 +89,9 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 def _cmd_tree(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     tree = build_spanning_subtree(g, _namelist(args.roots))
-    for e in g.edges:
-        if e.name in tree.tree_edges:
-            print(e.name)
+    for name in g._names:
+        if name in tree.tree_edges:
+            print(name)
     return 0
 
 

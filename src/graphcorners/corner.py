@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .multigraph import DirectedMultigraph, Edge
+from .multigraph import DirectedMultigraph
 from .subtree import DirectedSubtree, descendants
 
 
@@ -37,23 +37,34 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
     a tree-descendant of r(e).
     """
     spanned = tree.tree_vertices
-    excluded = set()
-    for v in spanned:
-        out = host.out_edges(v)
-        if out and all(tree.is_tree_edge(e.name) for e in out):
-            excluded.add(v)
-    kept = [v for v in host.vertices if v in spanned and v not in excluded]
-    kept_set = set(kept)
+    vs, names, src, dst = host.vertices, host._names, host._src, host._dst
+    index: dict[str, int] = {}
+    for v, out, children in zip(vs, host._out, tree._children):
+        if v in spanned and not (out and len(children) == len(out)):
+            index[v] = len(index)
 
-    edges: list[Edge] = []
-    provenance: dict[str, tuple[str, str]] = {}
-    for e in host.edges:
-        if e.src not in spanned or tree.is_tree_edge(e.name):
+    # The corner indices of the kept descendants of each range vertex,
+    # walked once per distinct range.
+    targets: dict[int, list[int]] = {}
+    origin: list[str] = []
+    edge_src: list[int] = []
+    edge_dst: list[int] = []
+    for k, name in enumerate(names):
+        s = vs[src[k]]
+        if name in tree.tree_edges or s not in spanned:
             continue
-        for u in descendants(tree, e.dst):
-            if u not in kept_set:
-                continue
-            name = f"{e.name}@{u}"
-            edges.append(Edge(name, e.src, u))
-            provenance[name] = (e.name, u)
-    return CornerGraph(DirectedMultigraph(kept, edges), provenance)
+        ids = targets.get(dst[k])
+        if ids is None:
+            ids = targets[dst[k]] = [
+                index[u] for u in descendants(tree, vs[dst[k]]) if u in index
+            ]
+        origin += [name] * len(ids)
+        edge_src += [index[s]] * len(ids)
+        edge_dst += ids
+    kept = list(index)
+    us = [kept[i] for i in edge_dst]
+    edge_names = [f"{e}@{u}" for e, u in zip(origin, us)]
+    graph = DirectedMultigraph._from_indices(
+        kept, edge_names, edge_src, edge_dst
+    )
+    return CornerGraph(graph, dict(zip(edge_names, zip(origin, us))))

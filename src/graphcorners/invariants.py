@@ -455,11 +455,10 @@ def _diagonal_mod(A: list[list[int]], D: int) -> list[int]:
 
 def vertex_matrix(g: DirectedMultigraph) -> IntegerMatrix:
     """Edge multiplicity matrix: entry (v, w) counts the edges v -> w."""
-    index = {v: i for i, v in enumerate(g.vertices)}
     n = len(g.vertices)
     rows = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        rows[index[e.src]][index[e.dst]] += 1
+    for v, w in zip(g._src, g._dst):
+        rows[v][w] += 1
     return IntegerMatrix.from_rows(rows, g.vertices, g.vertices)
 
 
@@ -488,21 +487,19 @@ def k_theory(g: DirectedMultigraph) -> KTheoryResult:
     columns of the regular (emitting) vertices, as a map from Z^regular
     to Z^vertices.  The map is built sparse, straight from the out-edges.
     """
-    index = {v: i for i, v in enumerate(g.vertices)}
-    rows: dict[int, dict[int, int]] = {i: {} for i in index.values()}
+    rows: dict[int, dict[int, int]] = {i: {} for i in range(len(g.vertices))}
     regular = 0
-    for v, i in index.items():
-        out = g.out_edges(v)
+    for i, out in enumerate(g._out):
         if not out:
             continue
-        for e in out:
-            row = rows[index[e.dst]]
+        for k in out:
+            row = rows[g._dst[k]]
             row[regular] = row.get(regular, 0) + 1
         rows[i][regular] = rows[i].get(regular, 0) - 1
         regular += 1
     factors = invariant_factors(rows)
     return KTheoryResult(
-        k0_free_rank=len(index) - len(factors),
+        k0_free_rank=len(g.vertices) - len(factors),
         k0_invariant_factors=tuple(d for d in factors if d > 1),
         k1_rank=regular - len(factors),
     )
@@ -527,12 +524,12 @@ def corner_dimension_vector(
     root seeding its length-0 path; sinks no root reaches are dropped.
     """
     order = topological_order(g)
-    root_set = dict.fromkeys(roots)
-    for v in root_set:
-        g._require_vertex(v)
-    ending_at: dict[str, int] = {}
-    for v in order:
+    root_set = {g._require_vertex(v) for v in roots}
+    ending_at = [0] * len(g.vertices)
+    for v in map(g._index.__getitem__, order):
         ending_at[v] = (v in root_set) + sum(
-            ending_at[e.src] for e in g.in_edges(v)
+            ending_at[g._src[k]] for k in g._in[v]
         )
-    return tuple(sorted(ending_at[v] for v in g.sinks() if ending_at[v]))
+    return tuple(sorted(
+        n for n, out in zip(ending_at, g._out) if n and not out
+    ))

@@ -13,15 +13,13 @@ the skew states (v, g): from every state, or from the identity fibre.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .corner import CornerGraph, corner_graph
 from .multigraph import (
     DirectedMultigraph,
-    Edge,
     GraphFormatError,
     Path,
     _strongly_connected_components,
@@ -132,16 +130,14 @@ class Labelling:
     def from_graph(cls, host: DirectedMultigraph, group: GroupSpec) -> "Labelling":
         """Read labels from the edges' label column; unlabelled means identity."""
         by_edge = {}
-        for e in host.edges:
-            if e.label is None:
-                by_edge[e.name] = group.identity
+        for name, label in zip(host._names, host._labels):
+            if label is None:
+                by_edge[name] = group.identity
             else:
                 try:
-                    by_edge[e.name] = group.parse_element(e.label)
+                    by_edge[name] = group.parse_element(label)
                 except ValueError as exc:
-                    raise GraphFormatError(
-                        f"edge {e.name!r}: {exc}"
-                    ) from None
+                    raise GraphFormatError(f"edge {name!r}: {exc}") from None
         return cls(host, group, by_edge)
 
     @classmethod
@@ -158,14 +154,14 @@ class Labelling:
         for name in labels:
             host.edge(name)
         by_edge = {}
-        for e in host.edges:
-            raw = labels.get(e.name)
+        for name in host._names:
+            raw = labels.get(name)
             if raw is None:
-                by_edge[e.name] = group.identity
+                by_edge[name] = group.identity
             elif isinstance(raw, int):
-                by_edge[e.name] = group.canonical((raw,))
+                by_edge[name] = group.canonical((raw,))
             else:
-                by_edge[e.name] = group.canonical(raw)
+                by_edge[name] = group.canonical(raw)
         return cls(host, group, by_edge)
 
     def label(self, edge_name: str) -> Element:
@@ -182,6 +178,20 @@ def path_label(c: Labelling, mu: Path) -> Element:
     return acc
 
 
+def _fast_op(group: GroupSpec) -> Callable[[Element, Element], Element]:
+    """``group.op`` for canonical elements, without the checks of
+    ``canonical``; the skew and Kirchhoff inner loops call it."""
+    moduli = group.moduli
+    if moduli == (0,):
+        return lambda a, b: (a[0] + b[0],)
+    if len(moduli) == 1:
+        m = moduli[0]
+        return lambda a, b: ((a[0] + b[0]) % m,)
+    return lambda a, b: tuple(
+        (x + y) % m if m else x + y for x, y, m in zip(a, b, moduli)
+    )
+
+
 def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
     """The full skew product graph for a finite group labelling.
 
@@ -195,10 +205,13 @@ def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
             "skew product of an infinite group is infinite; "
             "use reachable_skew"
         )
-    seeds = [(v, g) for v in host.vertices for g in group.elements()]
+    elements = list(group.elements())
+    seeds = [(v, g) for v in range(len(host.vertices)) for g in elements]
     vertices, edges = _explore(host, c, seeds, len(seeds))
+    # The seeds number the elements in lexicographic order, so sorting by
+    # (host edge, element index) sorts by (e, g).
     edges.sort()
-    return DirectedMultigraph(vertices, [e for _, _, e in edges])
+    return _skew_graph(vertices, edges)
 
 
 def reachable_skew(
@@ -209,60 +222,83 @@ def reachable_skew(
     BFS over the induced subgraph on the hereditary closure of the vertex
     set {(v, identity)}.  For a group with an infinite factor, raises
     CapExceededError once the closure needs more than ``cap`` vertices,
-    which is how an infinite closure surfaces.  A finite group bounds the
-    closure by |V|·|G| vertices and the cap does not apply.
+    which is how an infinite closure surfaces, and rejects a cap below
+    |V|.  A finite group bounds the closure by |V|·|G| vertices and the
+    cap does not apply.
     """
     _check_labelling(host, c)
-    if cap < len(host.vertices):
-        raise ValueError("cap must be at least the host vertex count")
     group = c.group
     if group.is_finite:
-        cap = max(cap, len(host.vertices) * group.order)
-    seeds = [(v, group.identity) for v in host.vertices]
-    vertices, edges = _explore(host, c, seeds, cap)
-    return DirectedMultigraph(vertices, [e for _, _, e in edges])
+        cap = len(host.vertices) * group.order
+    elif cap < len(host.vertices):
+        raise ValueError("cap must be at least the host vertex count")
+    seeds = [(v, group.identity) for v in range(len(host.vertices))]
+    return _skew_graph(*_explore(host, c, seeds, cap))
 
 
 def _explore(
     host: DirectedMultigraph, c: Labelling, seeds: list, cap: int
-) -> tuple[list[str], list[tuple[int, Element, Edge]]]:
-    """Breadth-first walk over the skew states (v, g) from ``seeds``.
+) -> tuple[list[str], list[tuple[int, int, str, int, int]]]:
+    """Breadth-first walk over the skew states (v, g) from ``seeds``,
+    given as (vertex index, element) pairs.
 
     Returns the state names in discovery order and the skew edges in the
-    order their sources are dequeued, tagged (host edge position, fibre
-    element).  Needing more than ``cap`` states raises CapExceededError.
+    order their sources are dequeued, as (host edge index, element index,
+    name, source state, range state); elements are numbered in the order
+    they are first met, seeds first.  Needing more than ``cap`` states
+    raises CapExceededError.
     """
     group = c.group
+    add = _fast_op(group)
+    n = len(host.vertices)
+    elements: list[Element] = []
+    numbers: dict[Element, int] = {}
+    encs: list[str] = []
+
+    def number(g: Element) -> int:
+        i = numbers.get(g)
+        if i is None:
+            i = numbers[g] = len(elements)
+            elements.append(g)
+            encs.append(group.name_encode(g))
+        return i
+
     # The edge (e, s) runs from (s(e), c(e)+s), so the edges leaving the
-    # state (v, t) have s = t - c(e).  ``shifted`` keeps (-c(e), t) ->
-    # (s, name encoding of s), so each sum and encoding is made once.
-    shifted: dict[tuple[Element, Element], tuple[Element, str]] = {}
-    out: dict[str, list] = {v: [] for v in host.vertices}
-    for i, e in enumerate(host.edges):
-        out[e.src].append((i, e.name, e.dst, group.inverse(c.by_edge[e.name])))
-    encs = {g: group.name_encode(g) for g in {g for _, g in seeds}}
-    names = {(v, g): f"{v}@{encs[g]}" for v, g in seeds}
-    queue = deque(names.items())
-    edges: list[tuple[int, Element, Edge]] = []
-    while queue:
-        (v, t), src = queue.popleft()
-        for i, name, dst, step in out[v]:
-            hit = shifted.get((step, t))
-            if hit is None:
-                s = group.op(step, t)
-                hit = shifted[(step, t)] = (s, group.name_encode(s))
-            s, enc = hit
-            dst_name = names.get((dst, s))
-            if dst_name is None:
-                if len(names) >= cap:
+    # state (v, t) have s = t - c(e).  Each distinct label c(e) gets
+    # (-c(e), an add table from t's number to s's, filled on first use).
+    rows: dict[Element, tuple[Element, dict[int, int]]] = {}
+    out: list[list] = [[] for _ in range(n)]
+    for k, name in enumerate(host._names):
+        label = c.by_edge[name]
+        row = rows.get(label)
+        if row is None:
+            row = rows[label] = (group.inverse(label), {})
+        out[host._src[k]].append((k, name, host._dst[k]) + row)
+    states = [(v, number(g)) for v, g in seeds]
+    state_of = {t * n + v: i for i, (v, t) in enumerate(states)}
+    edges: list[tuple[int, int, str, int, int]] = []
+    for i, (v, t) in enumerate(states):
+        for k, name, w, step, table in out[v]:
+            s = table.get(t)
+            if s is None:
+                s = table[t] = number(add(step, elements[t]))
+            j = state_of.get(s * n + w)
+            if j is None:
+                if len(states) >= cap:
                     raise CapExceededError(
                         f"closure exceeds cap {cap}: needs more than "
                         f"{cap} vertices"
                     )
-                dst_name = names[(dst, s)] = f"{dst}@{enc}"
-                queue.append(((dst, s), dst_name))
-            edges.append((i, s, Edge(f"{name}@{enc}", src, dst_name)))
-    return list(names.values()), edges
+                j = state_of[s * n + w] = len(states)
+                states.append((w, s))
+            edges.append((k, s, f"{name}@{encs[s]}", i, j))
+    vs = host.vertices
+    return [f"{vs[v]}@{encs[t]}" for v, t in states], edges
+
+
+def _skew_graph(vertices: list[str], edges: list) -> DirectedMultigraph:
+    names, src, dst = ([e[q] for e in edges] for q in (2, 3, 4))
+    return DirectedMultigraph._from_indices(vertices, names, src, dst)
 
 
 @dataclass(frozen=True)
@@ -307,19 +343,20 @@ def kirchhoff_check(
         return all(abs(g[i]) <= bound for i in infinite)
 
     GRAY, BLACK = 1, 2
-    color: dict[tuple[str, Element], int] = {}
-    parent: dict[tuple[str, Element], tuple[tuple[str, Element], str]] = {}
+    color: dict[tuple[int, Element], int] = {}
+    parent: dict[tuple[int, Element], tuple[tuple[int, Element], str]] = {}
     saw_out_of_bound = False
+    add = _fast_op(group)
+    labels = [c.by_edge[name] for name in host._names]
 
-    def transitions(state: tuple[str, Element]):
+    def transitions(state: tuple[int, Element]):
         v, g = state
-        for e in host.out_edges(v):
-            g2 = group.op(g, c.by_edge[e.name])
-            if g2 == ident:
-                continue
-            yield e.name, (e.dst, g2)
+        for k in host._out[v]:
+            g2 = add(g, labels[k])
+            if g2 != ident:
+                yield host._names[k], (host._dst[k], g2)
 
-    for v0 in host.vertices:
+    for v0 in range(len(host.vertices)):
         s0 = (v0, ident)
         if s0 in color:
             continue
@@ -338,7 +375,7 @@ def kirchhoff_check(
                 continue
             mark = color.get(nxt)
             if mark == GRAY:
-                return _fail_certificate(parent, state, edge_name, nxt)
+                return _fail_certificate(host, parent, state, edge_name, nxt)
             if mark is None:
                 color[nxt] = GRAY
                 parent[nxt] = (state, edge_name)
@@ -348,7 +385,7 @@ def kirchhoff_check(
     return KirchhoffResult("PASS")
 
 
-def _fail_certificate(parent, state, closing_edge, cycle_head):
+def _fail_certificate(host, parent, state, closing_edge, cycle_head):
     cycle_rev = [closing_edge]
     cur = state
     while cur != cycle_head:
@@ -361,7 +398,7 @@ def _fail_certificate(parent, state, closing_edge, cycle_head):
         prefix_rev.append(edge_name)
     return KirchhoffResult(
         "FAIL",
-        start=cur[0],
+        start=host.vertices[cur[0]],
         prefix=tuple(reversed(prefix_rev)),
         cycle=tuple(reversed(cycle_rev)),
     )
@@ -379,46 +416,52 @@ def cycle_labels_trivial(
     """
     _check_labelling(host, c)
     group = c.group
+    add = _fast_op(group)
+    names, src, dst = host._names, host._src, host._dst
     for comp in _strongly_connected_components(host):
         internal = [
-            e for v in comp for e in host.out_edges(v) if e.dst in comp
+            k for v in sorted(comp) for k in host._out[v] if dst[k] in comp
         ]
         if not internal:
             continue
-        base = next(v for v in host.vertices if v in comp)
+        base = min(comp)
         pot, fwd = _component_tree(host, comp, base, c, forward=True)
         _, bwd = _component_tree(host, comp, base, c, forward=False)
-        for e in internal:
-            if group.op(pot[e.src], c.by_edge[e.name]) != pot[e.dst]:
+        for k in internal:
+            if add(pot[src[k]], c.by_edge[names[k]]) != pot[dst[k]]:
                 # One of the two closed walks below must carry a
                 # non-identity label; their difference is the mismatch.
-                through = fwd[e.src] + (e.name,) + bwd[e.dst]
-                if path_label(c, Path(base, through)) != group.identity:
+                through = fwd[src[k]] + (names[k],) + bwd[dst[k]]
+                start = host.vertices[base]
+                if path_label(c, Path(start, through)) != group.identity:
                     return False, through
-                return False, fwd[e.dst] + bwd[e.dst]
+                return False, fwd[dst[k]] + bwd[dst[k]]
     return True, None
 
 
 def _component_tree(host, comp, base, c, forward):
-    """BFS potentials and edge paths within one strong component.
+    """BFS potentials and edge paths within one strong component, keyed
+    by vertex index.
 
     forward=True: pot[v] = label of the tree path base -> v, path[v] its
     edges.  forward=False: pot[v] = label of a path v -> base, path[v]
     its edges.
     """
-    group = c.group
-    pot = {base: group.identity}
-    path: dict[str, tuple[str, ...]] = {base: ()}
-    queue = deque([base])
-    while queue:
-        v = queue.popleft()
-        edges = host.out_edges(v) if forward else host.in_edges(v)
-        for e in edges:
-            w = e.dst if forward else e.src
+    add = _fast_op(c.group)
+    adjacent, far = (
+        (host._out, host._dst) if forward else (host._in, host._src)
+    )
+    pot = {base: c.group.identity}
+    path: dict[int, tuple[str, ...]] = {base: ()}
+    queue = [base]
+    for v in queue:
+        for k in adjacent[v]:
+            w = far[k]
             if w not in comp or w in pot:
                 continue
-            pot[w] = group.op(pot[v], c.by_edge[e.name])
-            path[w] = path[v] + (e.name,) if forward else (e.name,) + path[v]
+            name = host._names[k]
+            pot[w] = add(pot[v], c.by_edge[name])
+            path[w] = path[v] + (name,) if forward else (name,) + path[v]
             queue.append(w)
     return pot, path
 

@@ -9,6 +9,10 @@ The graph file format is line oriented (UTF-8):
 Names match ``[A-Za-z0-9_@.-]+``.  Edge endpoints must be declared before
 the edge line that uses them.  The optional LABEL column is kept verbatim
 on the edge; it is interpreted by the labelling module.
+
+A graph is integer indexed inside; the library's algorithms run on the
+indices, and names appear only at the boundary: parsing, printing,
+errors and the public API.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Hashable, Iterable, Mapping, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z0-9_@.-]+")
 
@@ -57,78 +61,126 @@ class Path:
 class DirectedMultigraph:
     """Immutable directed multigraph; parallel edges and loops allowed.
 
-    Vertices and edges keep the insertion order of their source, and all
-    queries iterate in that order, so downstream constructions are
-    deterministic.
+    Vertices and edges are indices in the insertion order of their
+    source, and all queries iterate in that order, so downstream
+    constructions are deterministic.  ``vertices`` holds the names, edge
+    columns hold each edge's name, source index, range index and label,
+    and ``_out[v]``/``_in[v]`` list the edges leaving and entering v.  The
+    library works on indices; ``Edge`` objects are made on request only.
+    The public constructor checks every name and endpoint; graphs derived
+    from a valid graph are built by the trusted ``_from_indices``.
     """
 
-    __slots__ = ("vertices", "edges", "_edge_by_name", "_out", "_in")
+    __slots__ = ("vertices", "_index", "_names", "_src", "_dst", "_labels",
+                 "_edge_index", "_out", "_in")
 
     def __init__(
         self,
         vertices: Iterable[str],
         edges: Iterable[Edge | Sequence[str]] = (),
     ) -> None:
-        out: dict[str, list[Edge]] = {}
+        index: dict[str, int] = {}
         for v in vertices:
-            _check_item(v, "vertex", out)
-            out[v] = []
-        self.vertices: tuple[str, ...] = tuple(out)
+            _check_item(v, "vertex", index)
+            index[v] = len(index)
+        es = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
+        taken: set[str] = set()
+        for e in es:
+            _check_item(e.name, "edge", taken, (e.src, e.dst), index)
+            taken.add(e.name)
+        self._fill(tuple(index), [e.name for e in es],
+                   [index[e.src] for e in es], [index[e.dst] for e in es],
+                   [e.label for e in es])
 
-        es: list[Edge] = []
-        by_name: dict[str, Edge] = {}
-        inc: dict[str, list[Edge]] = {v: [] for v in out}
-        for item in edges:
-            e = item if isinstance(item, Edge) else Edge(*item)
-            _check_item(e.name, "edge", by_name, (e.src, e.dst), out)
-            by_name[e.name] = e
-            out[e.src].append(e)
-            inc[e.dst].append(e)
-            es.append(e)
-        self.edges: tuple[Edge, ...] = tuple(es)
-        self._edge_by_name = by_name
-        self._out = {v: tuple(lst) for v, lst in out.items()}
-        self._in = {v: tuple(lst) for v, lst in inc.items()}
+    @classmethod
+    def _from_indices(cls, vertices, names, src, dst, labels=None):
+        """The trusted constructor: endpoints are vertex indices, and names
+        are not syntax-checked, but a duplicate name is rejected."""
+        g = cls.__new__(cls)
+        labels = labels or [None] * len(names)
+        g._fill(tuple(vertices), names, src, dst, labels)
+        return g
+
+    def _fill(self, vertices, names, src, dst, labels) -> None:
+        self.vertices: tuple[str, ...] = vertices
+        self._index = {v: i for i, v in enumerate(vertices)}
+        self._edge_index = {name: k for k, name in enumerate(names)}
+        for kind, items, unique in (("vertex", vertices, self._index),
+                                    ("edge", names, self._edge_index)):
+            if len(unique) != len(items):
+                seen: set[str] = set()
+                for x in items:
+                    _check_item(x, kind, seen)
+                    seen.add(x)
+        self._names, self._src, self._dst, self._labels = (
+            names, src, dst, labels)
+
+    def __getattr__(self, name: str) -> list[list[int]]:
+        # ``_out`` and ``_in`` are built on first use: a graph that is only
+        # printed never needs them.  They share ``_edge_index``'s ints.
+        if name not in ("_out", "_in"):
+            raise AttributeError(name)
+        out: list[list[int]] = [[] for _ in self.vertices]
+        inc: list[list[int]] = [[] for _ in self.vertices]
+        for k, v, w in zip(self._edge_index.values(), self._src, self._dst):
+            out[v].append(k)
+            inc[w].append(k)
+        self._out, self._in = out, inc
+        return getattr(self, name)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedMultigraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self._columns() == other._columns()
+
+    def _columns(self) -> tuple:
+        return self.vertices, self._names, self._src, self._dst, self._labels
 
     def __repr__(self) -> str:
         return (
             f"DirectedMultigraph({len(self.vertices)} vertices, "
-            f"{len(self.edges)} edges)"
+            f"{len(self._names)} edges)"
         )
 
+    def _edge(self, k: int) -> Edge:
+        vs = self.vertices
+        return Edge(self._names[k], vs[self._src[k]], vs[self._dst[k]],
+                    self._labels[k])
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """All edges, in insertion order."""
+        return tuple(map(self._edge, range(len(self._names))))
+
     def has_vertex(self, v: str) -> bool:
-        return v in self._out
+        return v in self._index
 
     def edge(self, name: str) -> Edge:
-        try:
-            return self._edge_by_name[name]
-        except KeyError:
-            raise GraphFormatError(f"unknown edge {name!r}") from None
+        k = self._edge_index.get(name)
+        if k is None:
+            raise GraphFormatError(f"unknown edge {name!r}")
+        return self._edge(k)
 
     def has_edge(self, name: str) -> bool:
-        return name in self._edge_by_name
+        return name in self._edge_index
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         """All edges with source v, in insertion order."""
-        self._require_vertex(v)
-        return self._out[v]
+        return tuple(map(self._edge, self._out[self._require_vertex(v)]))
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
         """All edges with range v, in insertion order."""
-        self._require_vertex(v)
-        return self._in[v]
+        return tuple(map(self._edge, self._in[self._require_vertex(v)]))
 
     def sinks(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if not self._out[v])
+        return tuple(v for v, out in zip(self.vertices, self._out) if not out)
 
-    def _require_vertex(self, v: str) -> None:
-        if v not in self._out:
+    def _require_vertex(self, v: str) -> int:
+        """The index of vertex v."""
+        i = self._index.get(v)
+        if i is None:
             raise GraphFormatError(f"unknown vertex {v!r}")
+        return i
 
 
 def _check_item(
@@ -187,27 +239,32 @@ def parse_graph(text: str) -> DirectedMultigraph:
 
 def serialize_graph(g: DirectedMultigraph) -> str:
     """Emit the graph file format; parse(serialize(g)) == g."""
-    lines = [f"vertex {v}" for v in g.vertices]
-    for e in g.edges:
-        if e.label is None:
-            lines.append(f"edge {e.name} {e.src} {e.dst}")
-        else:
-            lines.append(f"edge {e.name} {e.src} {e.dst} {e.label}")
+    vs = g.vertices
+    lines = [f"vertex {v}" for v in vs]
+    lines += [
+        f"edge {name} {vs[s]} {vs[d]}" if label is None
+        else f"edge {name} {vs[s]} {vs[d]} {label}"
+        for name, s, d, label in zip(g._names, g._src, g._dst, g._labels)
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def to_dot(g: DirectedMultigraph) -> str:
     """DOT export, one arrow per parallel edge, sorted for stable diffs."""
+    vs = g.vertices
     lines = ["digraph G {"]
-    for v in sorted(g.vertices):
+    for v in sorted(vs):
         lines.append(f'  "{v}";')
-    for e in sorted(g.edges, key=lambda e: e.name):
-        lines.append(f'  "{e.src}" -> "{e.dst}" [label="{e.name}"];')
+    for k in sorted(range(len(g._names)), key=g._names.__getitem__):
+        lines.append(
+            f'  "{vs[g._src[k]]}" -> "{vs[g._dst[k]]}" '
+            f'[label="{g._names[k]}"];'
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _kahn(successors: Mapping[str, Iterable[str]]) -> list[str]:
+def _kahn(successors: Mapping[Hashable, Iterable[Hashable]]) -> list:
     """Kahn's algorithm over the nodes (the mapping's keys, in order).
 
     Returns the nodes in topological order; on a cycle the list stops
@@ -218,7 +275,7 @@ def _kahn(successors: Mapping[str, Iterable[str]]) -> list[str]:
         for w in ws:
             indeg[w] += 1
     queue = deque(v for v, d in indeg.items() if d == 0)
-    order: list[str] = []
+    order = []
     while queue:
         v = queue.popleft()
         order.append(v)
@@ -229,8 +286,8 @@ def _kahn(successors: Mapping[str, Iterable[str]]) -> list[str]:
     return order
 
 
-def _successors(g: DirectedMultigraph) -> dict[str, list[str]]:
-    return {v: [e.dst for e in g.out_edges(v)] for v in g.vertices}
+def _successors(g: DirectedMultigraph) -> dict[int, list[int]]:
+    return {i: [g._dst[k] for k in out] for i, out in enumerate(g._out)}
 
 
 def is_acyclic(g: DirectedMultigraph) -> bool:
@@ -243,50 +300,53 @@ def topological_order(g: DirectedMultigraph) -> tuple[str, ...]:
     order = _kahn(_successors(g))
     if len(order) != len(g.vertices):
         raise GraphFormatError("graph has a cycle")
-    return tuple(order)
+    return tuple(g.vertices[i] for i in order)
+
+
+def _distances(g: DirectedMultigraph, roots: Iterable[str]) -> dict[int, int]:
+    """Shortest path length from the root set to each reachable vertex
+    index, in breadth-first discovery order."""
+    dist = {g._require_vertex(v): 0 for v in roots}
+    queue = list(dist)
+    for v in queue:
+        d = dist[v] + 1
+        for k in g._out[v]:
+            w = g._dst[k]
+            if w not in dist:
+                dist[w] = d
+                queue.append(w)
+    return dist
 
 
 def bfs_distances(
     g: DirectedMultigraph, roots: Iterable[str]
 ) -> dict[str, int]:
     """Shortest path length from the root set to each reachable vertex."""
-    dist: dict[str, int] = {}
-    queue: deque[str] = deque()
-    for v in roots:
-        g._require_vertex(v)
-        if v not in dist:
-            dist[v] = 0
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for e in g.out_edges(v):
-            if e.dst not in dist:
-                dist[e.dst] = dist[v] + 1
-                queue.append(e.dst)
-    return dist
+    return {g.vertices[i]: d for i, d in _distances(g, roots).items()}
 
 
-def _strongly_connected_components(g: DirectedMultigraph) -> list[set[str]]:
-    finish: list[str] = []
-    seen: set[str] = set()
-    for v in g.vertices:
+def _strongly_connected_components(g: DirectedMultigraph) -> list[set[int]]:
+    """Strong components as sets of vertex indices (Kosaraju)."""
+    finish: list[int] = []
+    seen: set[int] = set()
+    for v in range(len(g.vertices)):
         if v in seen:
             continue
         seen.add(v)
-        stack = [(v, iter(g.out_edges(v)))]
+        stack = [(v, iter(g._out[v]))]
         while stack:
             u, it = stack[-1]
-            step = next(it, None)
-            if step is None:
+            k = next(it, None)
+            if k is None:
                 finish.append(u)
                 stack.pop()
                 continue
-            w = step.dst
+            w = g._dst[k]
             if w not in seen:
                 seen.add(w)
-                stack.append((w, iter(g.out_edges(w))))
-    comps: list[set[str]] = []
-    assigned: set[str] = set()
+                stack.append((w, iter(g._out[w])))
+    comps: list[set[int]] = []
+    assigned: set[int] = set()
     for v in reversed(finish):
         if v in assigned:
             continue
@@ -295,11 +355,12 @@ def _strongly_connected_components(g: DirectedMultigraph) -> list[set[str]]:
         work = [v]
         while work:
             u = work.pop()
-            for e in g.in_edges(u):
-                if e.src not in assigned:
-                    assigned.add(e.src)
-                    comp.add(e.src)
-                    work.append(e.src)
+            for k in g._in[u]:
+                w = g._src[k]
+                if w not in assigned:
+                    assigned.add(w)
+                    comp.add(w)
+                    work.append(w)
         comps.append(comp)
     return comps
 
@@ -310,10 +371,8 @@ def hereditary_closure(g: DirectedMultigraph, X: Iterable[str]) -> set[str]:
 
 
 def is_hereditary(g: DirectedMultigraph, X: Iterable[str]) -> bool:
-    xs = set(X)
-    for v in xs:
-        g._require_vertex(v)
-    return all(e.dst in xs for v in xs for e in g.out_edges(v))
+    xs = {g._require_vertex(v) for v in X}
+    return all(g._dst[k] in xs for v in xs for k in g._out[v])
 
 
 def saturate(g: DirectedMultigraph, H: Iterable[str]) -> set[str]:
@@ -328,11 +387,10 @@ def saturate(g: DirectedMultigraph, H: Iterable[str]) -> set[str]:
     changed = True
     while changed:
         changed = False
-        for v in g.vertices:
+        for v, out in zip(g.vertices, g._out):
             if v in sat:
                 continue
-            out = g.out_edges(v)
-            if out and all(e.dst in sat for e in out):
+            if out and all(g.vertices[g._dst[k]] in sat for k in out):
                 sat.add(v)
                 changed = True
     return sat
@@ -358,13 +416,13 @@ def relabelled(
     vertex_map: dict[str, str],
     edge_map: dict[str, str] | None = None,
 ) -> DirectedMultigraph:
-    """Rename vertices (and optionally edges), preserving order and labels."""
+    """Rename vertices (and optionally edges), preserving order and labels.
+
+    The new names are taken as given, except that a duplicate is rejected.
+    """
     emap = edge_map or {}
-    return DirectedMultigraph(
-        (vertex_map[v] for v in g.vertices),
-        (
-            Edge(emap.get(e.name, e.name), vertex_map[e.src],
-                 vertex_map[e.dst], e.label)
-            for e in g.edges
-        ),
+    return DirectedMultigraph._from_indices(
+        [vertex_map[v] for v in g.vertices],
+        [emap.get(name, name) for name in g._names],
+        g._src, g._dst, g._labels,
     )

@@ -9,14 +9,16 @@ corner construction requires.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .multigraph import (
     DirectedMultigraph,
     GraphFormatError,
     Path,
+    _distances,
     _kahn,
-    bfs_distances,
+    bfs_distances,  # noqa: F401  (re-exported)
     hereditary_closure,
 )
 
@@ -47,6 +49,15 @@ class DirectedSubtree:
     def is_tree_edge(self, name: str) -> bool:
         return name in self.tree_edges
 
+    @cached_property
+    def _children(self) -> list[list[int]]:
+        """The tree children of each host vertex, by index."""
+        host = self.host
+        children: list[list[int]] = [[] for _ in host.vertices]
+        for v, name in self.parent.items():
+            children[host._src[host._edge_index[name]]].append(host._index[v])
+        return children
+
 
 def validate_subtree(
     host: DirectedMultigraph,
@@ -60,29 +71,27 @@ def validate_subtree(
     other spanned vertex must receive exactly one, and the tree edges must
     stay inside the closure and form no cycle.
     """
-    edge_names = list(dict.fromkeys(tree_edges))
-    root_set = set(roots)
-    for name in edge_names:
-        host.edge(name)
-    for v in root_set:
+    edges = [host.edge(name) for name in dict.fromkeys(tree_edges)]
+    root_list = list(dict.fromkeys(roots))
+    for v in root_list:
         host._require_vertex(v)
+    root_set = set(root_list)
 
-    closure = hereditary_closure(host, root_set)
+    closure = hereditary_closure(host, root_list)
     violations: list[str] = []
 
     incoming: dict[str, list[str]] = {}
     children: dict[str, list[str]] = {v: [] for v in closure}
-    for name in edge_names:
-        e = host.edge(name)
+    for e in edges:
         outside = [w for w in (e.src, e.dst) if w not in closure]
         for w in outside:
             violations.append(
-                f"tree edge {name!r} has endpoint {w!r} outside the "
+                f"tree edge {e.name!r} has endpoint {w!r} outside the "
                 f"spanned vertex set"
             )
         if not outside:
             children[e.src].append(e.dst)
-        incoming.setdefault(e.dst, []).append(name)
+        incoming.setdefault(e.dst, []).append(e.name)
 
     for v in sorted(incoming):
         names = incoming[v]
@@ -111,10 +120,10 @@ def validate_subtree(
     if violations:
         raise SubtreeValidationError(violations)
 
-    parent = {host.edge(n).dst: n for n in edge_names}
+    parent = {e.dst: e.name for e in edges}
     return DirectedSubtree(
         host=host,
-        tree_edges=frozenset(edge_names),
+        tree_edges=frozenset(parent.values()),
         tree_vertices=frozenset(closure),
         roots=frozenset(root_set),
         parent=parent,
@@ -143,20 +152,15 @@ def descendants(tree: DirectedSubtree, v: str) -> tuple[str, ...]:
     """
     if v not in tree.tree_vertices:
         raise GraphFormatError(f"vertex {v!r} not in the subtree")
-    dist = {v: 0}
-    frontier = [v]
-    order = [v]
+    names = tree.host.vertices
+    children = tree._children
+    frontier = [tree.host._index[v]]
+    order = frontier[:]
     while frontier:
-        level: list[str] = []
-        for u in frontier:
-            for e in tree.host.out_edges(u):
-                if e.name in tree.tree_edges and e.dst not in dist:
-                    dist[e.dst] = dist[u] + 1
-                    level.append(e.dst)
-        level.sort()
-        order.extend(level)
-        frontier = level
-    return tuple(order)
+        frontier = [w for u in frontier for w in children[u]]
+        frontier.sort(key=names.__getitem__)
+        order += frontier
+    return tuple([names[i] for i in order])
 
 
 def build_spanning_subtree(
@@ -166,22 +170,25 @@ def build_spanning_subtree(
 
     Each non-root vertex at distance n gets one incoming edge from a
     vertex at distance n-1, choosing the lexicographically smallest
-    qualifying edge name, so the result is reproducible.
+    qualifying edge name, so the result is reproducible.  The result
+    satisfies the subtree invariants by construction.
     """
     root_list = list(dict.fromkeys(roots))
     if not root_list:
         raise GraphFormatError("root set must be non-empty")
-    dist = bfs_distances(host, root_list)
-    root_set = set(root_list)
-
-    chosen: list[str] = []
-    for v in host.vertices:
-        if v not in dist or v in root_set:
-            continue
-        candidates = [
-            e.name
-            for e in host.in_edges(v)
-            if dist.get(e.src) == dist[v] - 1
-        ]
-        chosen.append(min(candidates))
-    return validate_subtree(host, chosen, root_set)
+    dist = _distances(host, root_list)
+    names, src = host._names, host._src
+    parent = {}
+    for v in sorted(dist):
+        d = dist[v] - 1
+        if d >= 0:
+            parent[host.vertices[v]] = min(
+                names[k] for k in host._in[v] if dist.get(src[k]) == d
+            )
+    return DirectedSubtree(
+        host=host,
+        tree_edges=frozenset(parent.values()),
+        tree_vertices=frozenset(host.vertices[v] for v in dist),
+        roots=frozenset(root_list),
+        parent=parent,
+    )

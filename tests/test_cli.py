@@ -141,6 +141,27 @@ def test_fixed_point_cap_exceeded(files, capsys):
     assert code == 3
 
 
+def test_fixed_point_finite_group_ignores_cap(files, capsys):
+    path = files("e1.graph", EDGE1)
+    outputs = [
+        run(capsys, ["fixed-point", path, "--group", "z5", "--cap", cap])
+        for cap in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1]
+
+
+def test_corner_name_clash_exit_2(files, capsys):
+    # Both non-tree edges a: r -> b@c and a@b: r -> c would name their
+    # corner edge a@b@c; the trusted constructor must still refuse.
+    path = files("clash.graph", (
+        "vertex r\nvertex b@c\nvertex c\nedge 0t r b@c\nedge 0u r c\n"
+        "edge a r b@c\nedge a@b r c\n"
+    ))
+    code, out, err = run(capsys, ["corner", path, "--roots", "r"])
+    assert (code, out, err) == (2, "", "duplicate edge name 'a@b@c'\n")
+
+
 def test_kth_command(files, capsys):
     rose = files("rose2.graph", ROSE2)
     code, out, _ = run(capsys, ["kth", rose])

@@ -281,7 +281,7 @@ class TestReachableSkew:
 
     def test_cap_below_vertex_count_rejected(self):
         g = cyc6()
-        c = Labelling.from_graph(g, GroupSpec.parse("z2"))
+        c = Labelling.from_graph(g, GroupSpec.parse("z"))
         with pytest.raises(ValueError, match="at least"):
             reachable_skew(g, c, 2)
 

@@ -5,10 +5,13 @@ import pytest
 from graphcorners import (
     DirectedMultigraph,
     GraphFormatError,
+    GroupSpec,
+    Labelling,
     Path,
     SubtreeValidationError,
     build_spanning_subtree,
     descendants,
+    fixed_point_pipeline,
     hereditary_closure,
     root_path,
     validate_subtree,
@@ -199,3 +202,32 @@ class TestBuild:
             dist = bfs_distances(g, roots)
             for v in t1.tree_vertices:
                 assert len(root_path(t1, v)) == dist[v]
+
+    def test_validate_accepts_every_built_tree(self):
+        # build_spanning_subtree returns its tree without validating it;
+        # validate_subtree must accept each one and rebuild it equal.
+        rng = random.Random(2026)
+
+        def graph(n, m, dag):
+            vs = [f"v{i}" for i in range(n)]
+            ends = [sorted(rng.sample(range(n), 2)) if dag else
+                    (rng.randrange(n), rng.randrange(n)) for _ in range(m)]
+            return DirectedMultigraph(
+                vs, [(f"e{k}", vs[i], vs[j]) for k, (i, j) in enumerate(ends)]
+            )
+
+        hosts = []
+        for _ in range(3):
+            hosts += [graph(300, 900, False), graph(300, 900, True)]
+            g = graph(80, 240, False)
+            c = Labelling.from_map(
+                g, GroupSpec.parse("z5"),
+                {e.name: rng.randrange(5) for e in g.edges},
+            )
+            hosts.append(fixed_point_pipeline(g, c).skew)
+        assert min(len(g.vertices) for g in hosts) >= 300
+        for g in hosts:
+            for _ in range(3):
+                roots = rng.sample(list(g.vertices), rng.randint(1, 4))
+                t = build_spanning_subtree(g, roots)
+                assert validate_subtree(g, t.tree_edges, t.roots) == t
