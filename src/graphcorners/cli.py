@@ -8,6 +8,7 @@ or UNKNOWN.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path as FilePath
 
@@ -181,7 +182,9 @@ def _cmd_check_kirchhoff(args: argparse.Namespace) -> int:
     return 3 if result.status == "UNKNOWN" else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="graphcorners",
         description=(
@@ -270,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SubtreeValidationError as exc:

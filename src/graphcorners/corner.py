@@ -10,6 +10,7 @@ of the host graph algebra by the sum of the root projections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .multigraph import DirectedMultigraph
 from .subtree import DirectedSubtree, descendants
@@ -19,12 +20,22 @@ from .subtree import DirectedSubtree, descendants
 class CornerGraph:
     """The corner graph plus the provenance of each of its edges.
 
-    ``provenance`` maps each corner edge name ``e@u`` back to the pair
-    (host edge e, target vertex u) it came from.
+    Corner edge i came from the host edge with index ``origin[i]``.
+    ``provenance`` maps each corner edge name back to the pair (host edge
+    e, target vertex u) it came from; it is built on first use.
     """
 
     graph: DirectedMultigraph
-    provenance: dict[str, tuple[str, str]]
+    host: DirectedMultigraph
+    origin: list[int]
+
+    @cached_property
+    def provenance(self) -> dict[str, tuple[str, str]]:
+        g, host_names = self.graph, self.host._names
+        return {
+            name: (host_names[k], g.vertices[u])
+            for name, k, u in zip(g._names, self.origin, g._dst)
+        }
 
 
 def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph:
@@ -34,37 +45,66 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
     outgoing host edges lies entirely inside the tree.  For every host
     edge e outside the tree with source in the spanned set, one corner
     edge ``e@u`` from s(e) to u is emitted for each kept vertex u that is
-    a tree-descendant of r(e).
+    a tree-descendant of r(e).  Should two such names coincide, each later
+    one gets the suffix ``.j`` with the least j >= 1 that leaves it unique.
     """
-    spanned = tree.tree_vertices
     vs, names, src, dst = host.vertices, host._names, host._src, host._dst
-    index: dict[str, int] = {}
-    for v, out, children in zip(vs, host._out, tree._children):
-        if v in spanned and not (out and len(children) == len(out)):
-            index[v] = len(index)
+    index, children = host._index, tree._children
+    in_tree = set(map(host._edge_index.__getitem__, tree.tree_edges))
+    # The corner index of each host vertex, -1 where it is not kept.
+    kept = [-1] * len(vs)
+    kept_names: list[str] = []
+    for v in sorted(map(index.__getitem__, tree.tree_vertices)):
+        out = host._out[v]
+        if not (out and len(children[v]) == len(out)):
+            kept[v] = len(kept_names)
+            kept_names.append(vs[v])
 
     # The corner indices of the kept descendants of each range vertex,
     # walked once per distinct range.
     targets: dict[int, list[int]] = {}
-    origin: list[str] = []
+    origin: list[int] = []
     edge_src: list[int] = []
     edge_dst: list[int] = []
-    for k, name in enumerate(names):
-        s = vs[src[k]]
-        if name in tree.tree_edges or s not in spanned:
+    for k, (s, d) in enumerate(zip(src, dst)):
+        # A spanned source of a non-tree edge is always kept.
+        if kept[s] < 0 or k in in_tree:
             continue
-        ids = targets.get(dst[k])
+        ids = targets.get(d)
         if ids is None:
-            ids = targets[dst[k]] = [
-                index[u] for u in descendants(tree, vs[dst[k]]) if u in index
-            ]
-        origin += [name] * len(ids)
-        edge_src += [index[s]] * len(ids)
+            # A tree leaf is its own only descendant, and it is kept.
+            ids = targets[d] = [
+                i for i in map(kept.__getitem__,
+                               map(index.__getitem__, descendants(tree, vs[d])))
+                if i >= 0
+            ] if children[d] else [kept[d]]
+        origin += [k] * len(ids)
+        edge_src += [kept[s]] * len(ids)
         edge_dst += ids
-    kept = list(index)
-    us = [kept[i] for i in edge_dst]
-    edge_names = [f"{e}@{u}" for e, u in zip(origin, us)]
+    edge_names = [
+        f"{e}@{u}" for e, u in zip(map(names.__getitem__, origin),
+                                   map(kept_names.__getitem__, edge_dst))
+    ]
+    # Distinct pairs (e, u) give distinct names e@u when all kept names
+    # hold the same number b of '@': u is what follows the (b+1)-th last.
+    if len({u.count("@") for u in kept_names}) > 1:
+        _unclash(edge_names)
     graph = DirectedMultigraph._from_indices(
-        kept, edge_names, edge_src, edge_dst
+        kept_names, edge_names, edge_src, edge_dst
     )
-    return CornerGraph(graph, dict(zip(edge_names, zip(origin, us))))
+    return CornerGraph(graph, host, origin)
+
+
+def _unclash(names: list[str]) -> None:
+    """Keep the first use of each name and rename each later one, in
+    place, to ``name.j`` with the least j >= 1 that no other name takes."""
+    taken = set(names)
+    seen: set[str] = set()
+    for i, name in enumerate(names):
+        if name in seen:
+            j = 1
+            while f"{name}.{j}" in taken:
+                j += 1
+            names[i] = name = f"{name}.{j}"
+            taken.add(name)
+        seen.add(name)

@@ -128,17 +128,19 @@ class Labelling:
 
     @classmethod
     def from_graph(cls, host: DirectedMultigraph, group: GroupSpec) -> "Labelling":
-        """Read labels from the edges' label column; unlabelled means identity."""
-        by_edge = {}
-        for name, label in zip(host._names, host._labels):
-            if label is None:
-                by_edge[name] = group.identity
-            else:
+        """Read labels from the edges' label column; unlabelled means identity.
+        Each distinct text is parsed once; an error names its first edge."""
+        labels = host._labels
+        element: dict[str | None, Element] = {None: group.identity}
+        for label in dict.fromkeys(labels):
+            if label is not None:
                 try:
-                    by_edge[name] = group.parse_element(label)
+                    element[label] = group.parse_element(label)
                 except ValueError as exc:
+                    name = host._names[labels.index(label)]
                     raise GraphFormatError(f"edge {name!r}: {exc}") from None
-        return cls(host, group, by_edge)
+        return cls(host, group,
+                   dict(zip(host._names, map(element.__getitem__, labels))))
 
     @classmethod
     def from_map(

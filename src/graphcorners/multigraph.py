@@ -83,14 +83,16 @@ class DirectedMultigraph:
         for v in vertices:
             _check_item(v, "vertex", index)
             index[v] = len(index)
-        es = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
+        rows = [(e.name, e.src, e.dst, e.label) if isinstance(e, Edge)
+                else e if len(e) == 4 else (*e, None) for e in edges]
         taken: set[str] = set()
-        for e in es:
-            _check_item(e.name, "edge", taken, (e.src, e.dst), index)
-            taken.add(e.name)
-        self._fill(tuple(index), [e.name for e in es],
-                   [index[e.src] for e in es], [index[e.dst] for e in es],
-                   [e.label for e in es])
+        for name, s, d, _ in rows:
+            _check_item(name, "edge", taken, (s, d), index)
+            taken.add(name)
+        names, src, dst, labels = (
+            map(list, zip(*rows)) if rows else ([], [], [], []))
+        self._fill(tuple(index), names, [index[v] for v in src],
+                   [index[v] for v in dst], labels)
 
     @classmethod
     def _from_indices(cls, vertices, names, src, dst, labels=None):
@@ -103,8 +105,8 @@ class DirectedMultigraph:
 
     def _fill(self, vertices, names, src, dst, labels) -> None:
         self.vertices: tuple[str, ...] = vertices
-        self._index = {v: i for i, v in enumerate(vertices)}
-        self._edge_index = {name: k for k, name in enumerate(names)}
+        self._index = dict(zip(vertices, range(len(vertices))))
+        self._edge_index = dict(zip(names, range(len(names))))
         for kind, items, unique in (("vertex", vertices, self._index),
                                     ("edge", names, self._edge_index)):
             if len(unique) != len(items):
@@ -206,12 +208,11 @@ def _check_item(
 def parse_graph(text: str) -> DirectedMultigraph:
     """Parse graph-file content; errors report the offending line number."""
     vertices: dict[str, None] = {}
-    edges: dict[str, Edge] = {}
+    edges: dict[str, list[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         try:
             if tokens[0] == "vertex":
                 if len(tokens) != 2:
@@ -225,9 +226,8 @@ def parse_graph(text: str) -> DirectedMultigraph:
                     raise GraphFormatError(
                         f"expected 'edge NAME SRC DST [LABEL]', got {raw!r}"
                     )
-                e = Edge(*tokens[1:])
-                _check_item(e.name, "edge", edges, (e.src, e.dst), vertices)
-                edges[e.name] = e
+                _check_item(tokens[1], "edge", edges, tokens[2:4], vertices)
+                edges[tokens[1]] = tokens[1:]
             else:
                 raise GraphFormatError(
                     f"unknown declaration {tokens[0]!r}"
@@ -379,21 +379,28 @@ def saturate(g: DirectedMultigraph, H: Iterable[str]) -> set[str]:
     """Smallest saturated superset of the hereditary set H.
 
     A vertex that emits at least one edge, all of whose emitted edges end
-    inside the set, is forced into it; iterate to a fixed point.
+    inside the set, is forced into it.  Each vertex counts its edges that
+    still leave the set; a vertex joining the set lowers the counts of
+    the sources of its in-edges, so every edge is looked at twice.
     """
-    sat = set(H)
-    if not is_hereditary(g, sat):
+    start = set(H)
+    if not is_hereditary(g, start):
         raise GraphFormatError("input set is not hereditary")
-    changed = True
-    while changed:
-        changed = False
-        for v, out in zip(g.vertices, g._out):
-            if v in sat:
-                continue
-            if out and all(g.vertices[g._dst[k]] in sat for k in out):
-                sat.add(v)
-                changed = True
-    return sat
+    inside = [v in start for v in g.vertices]
+    leaving = [sum(not inside[g._dst[k]] for k in out) for out in g._out]
+    work = [v for v, out in enumerate(g._out)
+            if out and not inside[v] and not leaving[v]]
+    for v in work:
+        inside[v] = True
+    while work:
+        for k in g._in[work.pop()]:
+            v = g._src[k]
+            if not inside[v]:
+                leaving[v] -= 1
+                if not leaving[v]:
+                    inside[v] = True
+                    work.append(v)
+    return {v for v, joined in zip(g.vertices, inside) if joined}
 
 
 def path_range(g: DirectedMultigraph, path: Path) -> str:

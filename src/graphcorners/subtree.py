@@ -179,16 +179,20 @@ def build_spanning_subtree(
     dist = _distances(host, root_list)
     names, src = host._names, host._src
     parent = {}
+    children: list[list[int]] = [[] for _ in host.vertices]
     for v in sorted(dist):
         d = dist[v] - 1
         if d >= 0:
-            parent[host.vertices[v]] = min(
+            name = parent[host.vertices[v]] = min(
                 names[k] for k in host._in[v] if dist.get(src[k]) == d
             )
-    return DirectedSubtree(
+            children[src[host._edge_index[name]]].append(v)
+    tree = DirectedSubtree(
         host=host,
         tree_edges=frozenset(parent.values()),
         tree_vertices=frozenset(host.vertices[v] for v in dist),
         roots=frozenset(root_list),
         parent=parent,
     )
+    vars(tree)["_children"] = children  # fills the cached property
+    return tree

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -151,15 +154,19 @@ def test_fixed_point_finite_group_ignores_cap(files, capsys):
     assert outputs[0][0] == 0 and outputs[0][1]
 
 
-def test_corner_name_clash_exit_2(files, capsys):
+def test_corner_name_clash_gets_a_suffix(files, capsys):
     # Both non-tree edges a: r -> b@c and a@b: r -> c would name their
-    # corner edge a@b@c; the trusted constructor must still refuse.
+    # corner edge a@b@c; the later one takes the suffix .1.
     path = files("clash.graph", (
         "vertex r\nvertex b@c\nvertex c\nedge 0t r b@c\nedge 0u r c\n"
         "edge a r b@c\nedge a@b r c\n"
     ))
     code, out, err = run(capsys, ["corner", path, "--roots", "r"])
-    assert (code, out, err) == (2, "", "duplicate edge name 'a@b@c'\n")
+    assert (code, err) == (0, "")
+    g = parse_graph(out)
+    assert [(e.name, e.src, e.dst) for e in g.edges] == [
+        ("a@b@c", "r", "b@c"), ("a@b@c.1", "r", "c"),
+    ]
 
 
 def test_kth_command(files, capsys):
@@ -310,6 +317,35 @@ def test_parse_error_exit_2(files, capsys):
     path = files("bad.graph", "edge e u v\n")
     code, _, err = run(capsys, ["corner", path, "--roots", "u"])
     assert code == 2 and "line 1" in err
+
+
+def test_repeated_main_calls_match_single_calls(files, capsys):
+    # The argument parser is built once per process; calls in sequence
+    # must print what each call prints on its own.
+    cyc = files("cyc6.graph", CYC6)
+    rose = files("rose2.graph", ROSE2)
+    bad = files("bad.graph", "edge e u v\n")
+    sequences = [
+        [["corner", cyc, "--roots", "v0", "--dot"],
+         ["corner", cyc, "--roots", "v0"]],
+        [["skew", rose, "--group", "z3", "--relabel"],
+         ["skew", rose, "--group", "z3"]],
+        [["corner", bad, "--roots", "u"],
+         ["corner", cyc, "--roots", "v0"]],
+    ]
+    alone = {}
+    for argv in [argv for seq in sequences for argv in seq]:
+        alone[tuple(argv)] = subprocess.run(
+            [sys.executable, "-m", "graphcorners.cli", *argv],
+            capture_output=True, text=True, env=os.environ | {
+                "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+    for seq in sequences:
+        for argv in seq:
+            code, out, err = run(capsys, argv)
+            single = alone[tuple(argv)]
+            assert (code, out, err) == (
+                single.returncode, single.stdout, single.stderr)
 
 
 def test_missing_file_exit_2(capsys):

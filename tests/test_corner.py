@@ -167,3 +167,23 @@ def test_corner_after_bfs_tree_round_trips_through_closure():
     assert hereditary_closure(g, ["x"]) == {"x", "a", "w"}
     result = corner_graph(g, t)
     assert set(result.graph.vertices) == {"a", "w"}
+
+
+def test_clashing_names_take_the_least_free_suffix():
+    # a: r -> b@c and a@b: r -> m (whose kept tree descendants are c and
+    # c.1) name three corner edges a@b@c, a@b@c, a@b@c.1; the duplicate
+    # takes .2, since .1 is already the name of another corner edge.
+    g = DirectedMultigraph(
+        ["r", "b@c", "m", "c", "c.1"],
+        [("0t", "r", "b@c"), ("0m", "r", "m"), ("0c", "m", "c"),
+         ("0d", "m", "c.1"), ("a", "r", "b@c"), ("a@b", "r", "m")],
+    )
+    t = validate_subtree(g, ["0t", "0m", "0c", "0d"], ["r"])
+    result = corner_graph(g, t)
+    assert [(e.name, e.dst) for e in result.graph.edges] == [
+        ("a@b@c", "b@c"), ("a@b@c.2", "c"), ("a@b@c.1", "c.1"),
+    ]
+    assert result.provenance == {
+        "a@b@c": ("a", "b@c"), "a@b@c.2": ("a@b", "c"),
+        "a@b@c.1": ("a@b", "c.1"),
+    }

@@ -1,6 +1,6 @@
-"""Golden digests of the skew and fixed-point commands.
+"""Golden digests of the skew, fixed-point, tree and corner commands.
 
-Output is byte-deterministic, so one sha256 per command and group pins
+Output is byte-deterministic, so one sha256 per command (and group) pins
 every vertex and edge name, their order and each exit code over the
 sample graphs below.  A digest may change only with an intended change
 of output, and then every digest that moved needs an explanation.
@@ -22,7 +22,9 @@ from sample_graphs import (
     parallel_edges,
     pqr,
     random_dag,
+    random_bfs_tree,
     random_multigraph,
+    random_vertex_subset,
     rose2,
     single_loop,
     single_vertex,
@@ -49,6 +51,21 @@ DIGESTS = {
         "0b68e9fef0ef62e36f323bf861c6210535432cc844ec949083b1a92920a99e75",
     ("fixed-point", "z"):
         "43da7ff20c3fa3fd4981afe9963960c56d1d501556a043c6196bd7663b90c884",
+}
+
+# The tree and corner commands run from roots sampled per graph; the
+# ``--tree-edges`` variant takes a random BFS tree, not the default one.
+CORNER_DIGESTS = {
+    "corner":
+        "902163a3e218247c5f3e12d2ab906d5bc41aee88e4b1f66271567a3d9960a468",
+    "corner --dot":
+        "5c104f10a025f64e29b0d19598bdb87ae996343a41027e1e9ca48a403daea577",
+    "corner --relabel":
+        "6d08ae98b7f3503cbc97e7a4f3eb403c5f843893c0900c03bb3390f4ceeb8f1b",
+    "corner --tree-edges":
+        "273522782156a539fec45fd0fba94d927b04972312c8582cd5b193c401ddf487",
+    "tree":
+        "e656325d8cfd9a1191d0b87f2cea988fc784afc1108cf30bb8d054f1b8399584",
 }
 
 
@@ -81,24 +98,45 @@ def sample_graphs() -> dict[str, DirectedMultigraph]:
 @pytest.fixture(scope="module")
 def graph_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    paths = []
+    files = []
     for name, g in sample_graphs().items():
         path = root / f"{name}.graph"
         path.write_text(serialize_graph(g), encoding="utf-8")
-        paths.append((name, str(path)))
-    return paths
+        files.append((name, str(path), g))
+    return files
+
+
+def digest_of(graph_files, argv_of) -> str:
+    digest = hashlib.sha256()
+    for name, path, g in graph_files:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv_of(name, path, g))
+        digest.update(f"{name} {code}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("command,group", sorted(DIGESTS))
 def test_output_digest(graph_files, command, group):
     words = command.split()
-    digest = hashlib.sha256()
-    for name, path in graph_files:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(
-                [words[0], path, "--group", group, "--cap", CAP] + words[1:]
-            )
-        digest.update(f"{name} {code}\n{out.getvalue()}".encode())
-    assert digest.hexdigest() == DIGESTS[(command, group)]
+    digest = digest_of(graph_files, lambda name, path, g: (
+        [words[0], path, "--group", group, "--cap", CAP] + words[1:]
+    ))
+    assert digest == DIGESTS[(command, group)]
+
+
+@pytest.mark.parametrize("command", sorted(CORNER_DIGESTS))
+def test_corner_digest(graph_files, command):
+    words = command.split()
+
+    def argv_of(name, path, g):
+        rng = random.Random(f"roots {name}")
+        roots = random_vertex_subset(rng, g)
+        argv = [words[0], path, "--roots", ",".join(roots)]
+        if "--tree-edges" in words:
+            tree = random_bfs_tree(g, roots, rng)
+            return argv + ["--tree-edges", ",".join(sorted(tree.tree_edges))]
+        return argv + words[1:]
+
+    assert digest_of(graph_files, argv_of) == CORNER_DIGESTS[command]

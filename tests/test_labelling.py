@@ -98,6 +98,15 @@ class TestLabelling:
         with pytest.raises(GraphFormatError, match="edge 'e'"):
             Labelling.from_graph(g, GroupSpec.parse("z5"))
 
+    def test_repeated_bad_label_names_the_first_edge(self):
+        g = DirectedMultigraph(["a"], [
+            ("e", "a", "a", "1"), ("f", "a", "a", "x"),
+            ("g", "a", "a", "1"), ("h", "a", "a", "x"),
+        ])
+        with pytest.raises(GraphFormatError) as caught:
+            Labelling.from_graph(g, GroupSpec.parse("z5"))
+        assert str(caught.value) == "edge 'f': bad group element 'x'"
+
     def test_wrong_arity_label(self):
         g = DirectedMultigraph(["a"], [("e", "a", "a", "1,2")])
         with pytest.raises(GraphFormatError):
