@@ -90,9 +90,8 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 def _cmd_tree(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     tree = build_spanning_subtree(g, _namelist(args.roots))
-    for name in g._names:
-        if name in tree.tree_edges:
-            print(name)
+    for k in sorted(k for k in tree.parent_edge if k >= 0):
+        print(g._names[k])
     return 0
 
 

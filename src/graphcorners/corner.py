@@ -49,12 +49,11 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
     one gets the suffix ``.j`` with the least j >= 1 that leaves it unique.
     """
     vs, names, src, dst = host.vertices, host._names, host._src, host._dst
-    index, children = host._index, tree._children
-    in_tree = set(map(host._edge_index.__getitem__, tree.tree_edges))
+    parent_edge, children = tree.parent_edge, tree._children
     # The corner index of each host vertex, -1 where it is not kept.
     kept = [-1] * len(vs)
     kept_names: list[str] = []
-    for v in sorted(map(index.__getitem__, tree.tree_vertices)):
+    for v in tree.spanned_indices:
         out = host._out[v]
         if not (out and len(children[v]) == len(out)):
             kept[v] = len(kept_names)
@@ -68,14 +67,14 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
     edge_dst: list[int] = []
     for k, (s, d) in enumerate(zip(src, dst)):
         # A spanned source of a non-tree edge is always kept.
-        if kept[s] < 0 or k in in_tree:
+        if kept[s] < 0 or parent_edge[d] == k:
             continue
         ids = targets.get(d)
         if ids is None:
             # A tree leaf is its own only descendant, and it is kept.
             ids = targets[d] = [
                 i for i in map(kept.__getitem__,
-                               map(index.__getitem__, descendants(tree, vs[d])))
+                               descendants(tree, d, indices=True))
                 if i >= 0
             ] if children[d] else [kept[d]]
         origin += [k] * len(ids)

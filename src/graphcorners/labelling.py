@@ -194,6 +194,29 @@ def _fast_op(group: GroupSpec) -> Callable[[Element, Element], Element]:
     )
 
 
+def _numbering(c: Labelling, negate: bool) -> tuple:
+    """Group elements numbered in the order they are first met.
+
+    Returns the list of elements, the function that numbers an element
+    and, per host edge e, a pair: its operand c(e), or -c(e) with
+    ``negate``, and a table from t to the number of elements[t] + operand,
+    which the caller fills on first use.  Edges with equal labels share
+    one pair.
+    """
+    elements: list[Element] = []
+    numbers: dict[Element, int] = {}
+
+    def number(g: Element) -> int:
+        i = numbers.setdefault(g, len(elements))
+        if i == len(elements):
+            elements.append(g)
+        return i
+
+    pairs = {label: (c.group.inverse(label) if negate else label, {})
+             for label in set(c.by_edge.values())}
+    return elements, number, [pairs[c.by_edge[e]] for e in c.host._names]
+
+
 def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
     """The full skew product graph for a finite group labelling.
 
@@ -209,11 +232,9 @@ def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
         )
     elements = list(group.elements())
     seeds = [(v, g) for v in range(len(host.vertices)) for g in elements]
-    vertices, edges = _explore(host, c, seeds, len(seeds))
     # The seeds number the elements in lexicographic order, so sorting by
-    # (host edge, element index) sorts by (e, g).
-    edges.sort()
-    return _skew_graph(vertices, edges)
+    # (host edge, element number) sorts by (e, g).
+    return _explore(host, c, seeds, len(seeds), by_edge=True)
 
 
 def reachable_skew(
@@ -235,52 +256,33 @@ def reachable_skew(
     elif cap < len(host.vertices):
         raise ValueError("cap must be at least the host vertex count")
     seeds = [(v, group.identity) for v in range(len(host.vertices))]
-    return _skew_graph(*_explore(host, c, seeds, cap))
+    return _explore(host, c, seeds, cap)
 
 
 def _explore(
-    host: DirectedMultigraph, c: Labelling, seeds: list, cap: int
-) -> tuple[list[str], list[tuple[int, int, str, int, int]]]:
-    """Breadth-first walk over the skew states (v, g) from ``seeds``,
-    given as (vertex index, element) pairs.
+    host: DirectedMultigraph, c: Labelling, seeds: list, cap: int,
+    by_edge: bool = False,
+) -> DirectedMultigraph:
+    """The skew graph found by a breadth-first walk over the skew states
+    (v, g) from ``seeds``, given as (vertex index, element) pairs.
 
-    Returns the state names in discovery order and the skew edges in the
-    order their sources are dequeued, as (host edge index, element index,
-    name, source state, range state); elements are numbered in the order
-    they are first met, seeds first.  Needing more than ``cap`` states
-    raises CapExceededError.
+    States are numbered in discovery order; elements in the order they
+    are first met, seeds first.  Skew edges come in the order their
+    sources are dequeued, or sorted by (host edge, element number) with
+    ``by_edge``.  Needing more than ``cap`` states raises
+    CapExceededError.
     """
-    group = c.group
-    add = _fast_op(group)
-    n = len(host.vertices)
-    elements: list[Element] = []
-    numbers: dict[Element, int] = {}
-    encs: list[str] = []
-
-    def number(g: Element) -> int:
-        i = numbers.get(g)
-        if i is None:
-            i = numbers[g] = len(elements)
-            elements.append(g)
-            encs.append(group.name_encode(g))
-        return i
-
     # The edge (e, s) runs from (s(e), c(e)+s), so the edges leaving the
-    # state (v, t) have s = t - c(e).  Each distinct label c(e) gets
-    # (-c(e), an add table from t's number to s's, filled on first use).
-    rows: dict[Element, tuple[Element, dict[int, int]]] = {}
-    out: list[list] = [[] for _ in range(n)]
-    for k, name in enumerate(host._names):
-        label = c.by_edge[name]
-        row = rows.get(label)
-        if row is None:
-            row = rows[label] = (group.inverse(label), {})
-        out[host._src[k]].append((k, name, host._dst[k]) + row)
+    # state (v, t) have s = t - c(e).
+    elements, number, pairs = _numbering(c, negate=True)
+    add = _fast_op(c.group)
+    n = len(host.vertices)
+    out = [[(k, host._dst[k], *pairs[k]) for k in ks] for ks in host._out]
     states = [(v, number(g)) for v, g in seeds]
     state_of = {t * n + v: i for i, (v, t) in enumerate(states)}
-    edges: list[tuple[int, int, str, int, int]] = []
+    edges: list[tuple[int, int, int, int]] = []
     for i, (v, t) in enumerate(states):
-        for k, name, w, step, table in out[v]:
+        for k, w, step, table in out[v]:
             s = table.get(t)
             if s is None:
                 s = table[t] = number(add(step, elements[t]))
@@ -293,14 +295,16 @@ def _explore(
                     )
                 j = state_of[s * n + w] = len(states)
                 states.append((w, s))
-            edges.append((k, s, f"{name}@{encs[s]}", i, j))
-    vs = host.vertices
-    return [f"{vs[v]}@{encs[t]}" for v, t in states], edges
-
-
-def _skew_graph(vertices: list[str], edges: list) -> DirectedMultigraph:
-    names, src, dst = ([e[q] for e in edges] for q in (2, 3, 4))
-    return DirectedMultigraph._from_indices(vertices, names, src, dst)
+            edges.append((k, s, i, j))
+    if by_edge:
+        edges.sort()
+    encs = list(map(c.group.name_encode, elements))
+    vs, names = host.vertices, host._names
+    return DirectedMultigraph._from_indices(
+        [f"{vs[v]}@{encs[t]}" for v, t in states],
+        [f"{names[k]}@{encs[s]}" for k, s, _, _ in edges],
+        [e[2] for e in edges], [e[3] for e in edges],
+    )
 
 
 @dataclass(frozen=True)
@@ -337,70 +341,71 @@ def kirchhoff_check(
         raise ValueError("bound must be non-negative")
     if is_acyclic(host):
         return KirchhoffResult("PASS")
-    group = c.group
-    ident = group.identity
-    infinite = [i for i, m in enumerate(group.moduli) if m == 0]
-
-    def in_bound(g: Element) -> bool:
-        return all(abs(g[i]) <= bound for i in infinite)
-
+    infinite = [i for i, m in enumerate(c.group.moduli) if m == 0]
+    # The state (v, t) is the int t*n + v, t an element number; the
+    # identity is element 0, so the start states are the vertex indices.
+    elements, number, pairs = _numbering(c, negate=False)
+    number(c.group.identity)
+    add = _fast_op(c.group)
+    n = len(host.vertices)
+    out = [[(k, host._dst[k], *pairs[k]) for k in ks] for ks in host._out]
+    inside = [True]  # whether element t lies within the bound
     GRAY, BLACK = 1, 2
-    color: dict[tuple[int, Element], int] = {}
-    parent: dict[tuple[int, Element], tuple[tuple[int, Element], str]] = {}
+    color: dict[int, int] = {}
+    parent: dict[int, tuple[int, int]] = {}  # state -> (state, edge)
     saw_out_of_bound = False
-    add = _fast_op(group)
-    labels = [c.by_edge[name] for name in host._names]
-
-    def transitions(state: tuple[int, Element]):
-        v, g = state
-        for k in host._out[v]:
-            g2 = add(g, labels[k])
-            if g2 != ident:
-                yield host._names[k], (host._dst[k], g2)
-
-    for v0 in range(len(host.vertices)):
-        s0 = (v0, ident)
-        if s0 in color:
+    for v0 in range(n):
+        if v0 in color:
             continue
-        color[s0] = GRAY
-        stack = [(s0, transitions(s0))]
+        color[v0] = GRAY
+        # Each frame holds a state, its element and its unread out-edges.
+        stack = [(v0, 0, iter(out[v0]))]
         while stack:
-            state, it = stack[-1]
-            step = next(it, None)
-            if step is None:
+            state, t, it = stack[-1]
+            for k, w, step, table in it:
+                s = table.get(t)
+                if s is None:
+                    s = table[t] = number(add(step, elements[t]))
+                    if s == len(inside):
+                        inside.append(all(abs(elements[s][i]) <= bound
+                                          for i in infinite))
+                if not s:
+                    continue
+                if not inside[s]:
+                    saw_out_of_bound = True
+                    continue
+                nxt = s * n + w
+                mark = color.get(nxt)
+                if mark == GRAY:
+                    return _fail_certificate(host, parent, state, k, nxt)
+                if mark is None:
+                    color[nxt] = GRAY
+                    parent[nxt] = (state, k)
+                    stack.append((nxt, s, iter(out[w])))
+                    break
+            else:
                 color[state] = BLACK
                 stack.pop()
-                continue
-            edge_name, nxt = step
-            if not in_bound(nxt[1]):
-                saw_out_of_bound = True
-                continue
-            mark = color.get(nxt)
-            if mark == GRAY:
-                return _fail_certificate(host, parent, state, edge_name, nxt)
-            if mark is None:
-                color[nxt] = GRAY
-                parent[nxt] = (state, edge_name)
-                stack.append((nxt, transitions(nxt)))
     if saw_out_of_bound:
         return KirchhoffResult("UNKNOWN")
     return KirchhoffResult("PASS")
 
 
 def _fail_certificate(host, parent, state, closing_edge, cycle_head):
-    cycle_rev = [closing_edge]
+    names = host._names
+    cycle_rev = [names[closing_edge]]
     cur = state
     while cur != cycle_head:
-        cur, edge_name = parent[cur]
-        cycle_rev.append(edge_name)
+        cur, k = parent[cur]
+        cycle_rev.append(names[k])
     prefix_rev = []
     cur = cycle_head
     while cur in parent:
-        cur, edge_name = parent[cur]
-        prefix_rev.append(edge_name)
+        cur, k = parent[cur]
+        prefix_rev.append(names[k])
     return KirchhoffResult(
         "FAIL",
-        start=host.vertices[cur[0]],
+        start=host.vertices[cur],  # a start state is its vertex index
         prefix=tuple(reversed(prefix_rev)),
         cycle=tuple(reversed(cycle_rev)),
     )

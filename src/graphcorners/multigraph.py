@@ -67,8 +67,9 @@ class DirectedMultigraph:
     columns hold each edge's name, source index, range index and label,
     and ``_out[v]``/``_in[v]`` list the edges leaving and entering v.  The
     library works on indices; ``Edge`` objects are made on request only.
-    The public constructor checks every name and endpoint; graphs derived
-    from a valid graph are built by the trusted ``_from_indices``.
+    The public constructor checks every item (names, endpoints, the shape
+    of each edge item and each label); graphs derived from a valid graph
+    are built by the trusted ``_from_indices``.
     """
 
     __slots__ = ("vertices", "_index", "_names", "_src", "_dst", "_labels",
@@ -77,22 +78,24 @@ class DirectedMultigraph:
     def __init__(
         self,
         vertices: Iterable[str],
-        edges: Iterable[Edge | Sequence[str]] = (),
+        edges: Iterable[Edge | tuple | list] = (),
     ) -> None:
-        index: dict[str, int] = {}
-        for v in vertices:
-            _check_item(v, "vertex", index)
-            index[v] = len(index)
-        rows = [(e.name, e.src, e.dst, e.label) if isinstance(e, Edge)
-                else e if len(e) == 4 else (*e, None) for e in edges]
-        taken: set[str] = set()
-        for name, s, d, _ in rows:
-            _check_item(name, "edge", taken, (s, d), index)
-            taken.add(name)
-        names, src, dst, labels = (
-            map(list, zip(*rows)) if rows else ([], [], [], []))
-        self._fill(tuple(index), names, [index[v] for v in src],
-                   [index[v] for v in dst], labels)
+        vertices, items = tuple(vertices), list(edges)
+        rows = list(map(_row, items))
+        # Whole-column checks: _check_items names the first bad item, and
+        # _fill a repeated name.
+        try:
+            index = dict(zip(vertices, range(len(vertices))))
+            names, src, dst, labels = ([r[q] for r in rows] for q in range(4))
+            src, dst = (list(map(index.__getitem__, e)) for e in (src, dst))
+            valid = (all(map(NAME_RE.fullmatch, vertices))
+                     and all(map(NAME_RE.fullmatch, names))
+                     and all(map(_is_label, set(labels))))
+        except (TypeError, KeyError):
+            valid = False
+        if not valid:
+            _check_items(vertices, items)
+        self._fill(vertices, names, src, dst, labels)
 
     @classmethod
     def _from_indices(cls, vertices, names, src, dst, labels=None):
@@ -118,17 +121,17 @@ class DirectedMultigraph:
             names, src, dst, labels)
 
     def __getattr__(self, name: str) -> list[list[int]]:
-        # ``_out`` and ``_in`` are built on first use: a graph that is only
-        # printed never needs them.  They share ``_edge_index``'s ints.
+        # ``_out`` and ``_in`` are each built on first use: a graph that is
+        # only printed needs neither, and a skew product only ``_out``.
+        # They share ``_edge_index``'s ints.
         if name not in ("_out", "_in"):
             raise AttributeError(name)
-        out: list[list[int]] = [[] for _ in self.vertices]
-        inc: list[list[int]] = [[] for _ in self.vertices]
-        for k, v, w in zip(self._edge_index.values(), self._src, self._dst):
-            out[v].append(k)
-            inc[w].append(k)
-        self._out, self._in = out, inc
-        return getattr(self, name)
+        lists: list[list[int]] = [[] for _ in self.vertices]
+        ends = self._src if name == "_out" else self._dst
+        for k, v in zip(self._edge_index.values(), ends):
+            lists[v].append(k)
+        setattr(self, name, lists)
+        return lists
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedMultigraph):
@@ -199,19 +202,66 @@ def _check_item(
     if name in taken:
         raise GraphFormatError(f"duplicate {kind} name {name!r}")
     for endpoint in endpoints:
-        if endpoint not in vertices:
+        if not isinstance(endpoint, str) or endpoint not in vertices:
             raise GraphFormatError(
                 f"edge {name!r}: endpoint {endpoint!r} undeclared"
             )
+
+
+def _row(e: object) -> tuple | None:
+    """An edge item as (name, src, dst, label); None if it is neither an
+    ``Edge`` nor a tuple or list of 3 or 4 items."""
+    if isinstance(e, Edge):
+        return e.name, e.src, e.dst, e.label
+    if isinstance(e, (tuple, list)) and 3 <= len(e) <= 4:
+        return tuple(e) if len(e) == 4 else (*e, None)
+    return None
+
+
+def _is_label(text: object) -> bool:
+    """Whether a label is None or one token of the file format."""
+    return text is None or isinstance(text, str) and text.split() == [text]
+
+
+def _check_items(vertices: Sequence, items: list) -> None:
+    """Raise for the first bad item: vertices first, then each edge item's
+    shape, name, endpoints and label, in order."""
+    index: dict[str, None] = {}
+    for v in vertices:
+        _check_item(v, "vertex", index)
+        index[v] = None
+    taken: set[str] = set()
+    for e, row in zip(items, map(_row, items)):
+        if row is None:
+            raise GraphFormatError(f"invalid edge item {e!r}: expected "
+                                   f"(NAME, SRC, DST[, LABEL])")
+        _check_item(row[0], "edge", taken, row[1:3], index)
+        if not _is_label(row[3]):
+            raise GraphFormatError(
+                f"edge {row[0]!r}: invalid label {row[3]!r}")
+        taken.add(row[0])
 
 
 def parse_graph(text: str) -> DirectedMultigraph:
     """Parse graph-file content; errors report the offending line number."""
     vertices: dict[str, None] = {}
     edges: dict[str, list[str]] = {}
+    valid = NAME_RE.fullmatch
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
+            continue
+        # A well-formed line passes _check_item's tests, made inline here;
+        # any other line goes through the checks below, which name what is
+        # wrong with it.
+        if (tokens[0] == "edge" and 4 <= len(tokens) <= 5
+                and valid(tokens[1]) and tokens[1] not in edges
+                and tokens[2] in vertices and tokens[3] in vertices):
+            edges[tokens[1]] = tokens[1:]
+            continue
+        if (tokens[0] == "vertex" and len(tokens) == 2
+                and valid(tokens[1]) and tokens[1] not in vertices):
+            vertices[tokens[1]] = None
             continue
         try:
             if tokens[0] == "vertex":

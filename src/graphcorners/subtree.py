@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .multigraph import (
     DirectedMultigraph,
@@ -33,29 +33,50 @@ class SubtreeValidationError(ValueError):
 
 @dataclass(frozen=True)
 class DirectedSubtree:
-    """A validated subtree: host graph, tree edges, spanned vertices, roots.
-
-    ``parent`` maps each non-root spanned vertex to its unique incoming
-    tree edge name.  Instances are produced by :func:`validate_subtree`
-    or :func:`build_spanning_subtree` and always satisfy the invariants.
+    """A validated subtree, held on host indices: ``parent_edge[v]`` is the
+    tree edge entering vertex v (-1 for roots and unspanned vertices), and
+    ``spanned_indices`` is sorted; the roots are the spanned vertices with
+    no tree edge.  The name views ``tree_edges``, ``tree_vertices``,
+    ``roots`` and ``parent`` (non-root spanned vertex -> its tree edge) are
+    built on first use.  Instances come from :func:`validate_subtree` or
+    :func:`build_spanning_subtree` and always satisfy the invariants.
     """
 
     host: DirectedMultigraph
-    tree_edges: frozenset[str]
-    tree_vertices: frozenset[str]
-    roots: frozenset[str]
-    parent: Mapping[str, str]
+    parent_edge: list[int]
+    spanned_indices: list[int]
+
+    @cached_property
+    def tree_edges(self) -> frozenset[str]:
+        return frozenset(self.parent.values())
+
+    @cached_property
+    def tree_vertices(self) -> frozenset[str]:
+        return frozenset(self.host.vertices[v] for v in self.spanned_indices)
+
+    @cached_property
+    def roots(self) -> frozenset[str]:
+        return frozenset(self.host.vertices[v] for v in self.spanned_indices
+                         if self.parent_edge[v] < 0)
+
+    @cached_property
+    def parent(self) -> dict[str, str]:
+        vs, names = self.host.vertices, self.host._names
+        return {vs[v]: names[k]
+                for v, k in enumerate(self.parent_edge) if k >= 0}
 
     def is_tree_edge(self, name: str) -> bool:
-        return name in self.tree_edges
+        k = self.host._edge_index.get(name)
+        return k is not None and self.parent_edge[self.host._dst[k]] == k
 
     @cached_property
     def _children(self) -> list[list[int]]:
         """The tree children of each host vertex, by index."""
-        host = self.host
-        children: list[list[int]] = [[] for _ in host.vertices]
-        for v, name in self.parent.items():
-            children[host._src[host._edge_index[name]]].append(host._index[v])
+        src = self.host._src
+        children: list[list[int]] = [[] for _ in self.parent_edge]
+        for v, k in enumerate(self.parent_edge):
+            if k >= 0:
+                children[src[k]].append(v)
         return children
 
 
@@ -120,47 +141,51 @@ def validate_subtree(
     if violations:
         raise SubtreeValidationError(violations)
 
-    parent = {e.dst: e.name for e in edges}
-    return DirectedSubtree(
-        host=host,
-        tree_edges=frozenset(parent.values()),
-        tree_vertices=frozenset(closure),
-        roots=frozenset(root_set),
-        parent=parent,
-    )
+    index = host._index
+    parent_edge = [-1] * len(host.vertices)
+    for e in edges:
+        parent_edge[index[e.dst]] = host._edge_index[e.name]
+    return DirectedSubtree(host, parent_edge,
+                           sorted(map(index.__getitem__, closure)))
 
 
 def root_path(tree: DirectedSubtree, v: str) -> Path:
     """The unique tree path from a root down to v; empty path for roots."""
     if v not in tree.tree_vertices:
         raise GraphFormatError(f"vertex {v!r} not in the subtree")
+    host = tree.host
     names: list[str] = []
-    at = v
-    while at not in tree.roots:
-        edge_name = tree.parent[at]
-        names.append(edge_name)
-        at = tree.host.edge(edge_name).src
+    at = host._index[v]
+    while (k := tree.parent_edge[at]) >= 0:
+        names.append(host._names[k])
+        at = host._src[k]
     names.reverse()
-    return Path(start=at, edges=tuple(names))
+    return Path(start=host.vertices[at], edges=tuple(names))
 
 
-def descendants(tree: DirectedSubtree, v: str) -> tuple[str, ...]:
+def descendants(
+    tree: DirectedSubtree, v: str | int, indices: bool = False
+) -> tuple[str, ...] | list[int]:
     """Vertices reachable from v along tree edges, v included.
 
     Ordered by tree distance from v, then by vertex name, which is the
-    order the corner construction enumerates targets in.
+    order the corner construction enumerates targets in.  With
+    ``indices``, v (which must be spanned) and the result are host
+    vertex indices, the form the corner construction uses.
     """
-    if v not in tree.tree_vertices:
-        raise GraphFormatError(f"vertex {v!r} not in the subtree")
     names = tree.host.vertices
+    if not indices:
+        if v not in tree.tree_vertices:
+            raise GraphFormatError(f"vertex {v!r} not in the subtree")
+        v = tree.host._index[v]
     children = tree._children
-    frontier = [tree.host._index[v]]
-    order = frontier[:]
+    order = [v]
+    frontier = order[:]
     while frontier:
         frontier = [w for u in frontier for w in children[u]]
         frontier.sort(key=names.__getitem__)
         order += frontier
-    return tuple([names[i] for i in order])
+    return order if indices else tuple([names[i] for i in order])
 
 
 def build_spanning_subtree(
@@ -177,22 +202,14 @@ def build_spanning_subtree(
     if not root_list:
         raise GraphFormatError("root set must be non-empty")
     dist = _distances(host, root_list)
-    names, src = host._names, host._src
-    parent = {}
-    children: list[list[int]] = [[] for _ in host.vertices]
-    for v in sorted(dist):
-        d = dist[v] - 1
-        if d >= 0:
-            name = parent[host.vertices[v]] = min(
-                names[k] for k in host._in[v] if dist.get(src[k]) == d
-            )
-            children[src[host._edge_index[name]]].append(v)
-    tree = DirectedSubtree(
-        host=host,
-        tree_edges=frozenset(parent.values()),
-        tree_vertices=frozenset(host.vertices[v] for v in dist),
-        roots=frozenset(root_list),
-        parent=parent,
-    )
-    vars(tree)["_children"] = children  # fills the cached property
-    return tree
+    depth = [-2] * len(host.vertices)  # -2 + 1 is no vertex's depth
+    for v, d in dist.items():
+        depth[v] = d
+    names = host._names
+    parent_edge = [-1] * len(host.vertices)
+    for k, (v, w) in enumerate(zip(host._src, host._dst)):
+        if depth[w] == depth[v] + 1:
+            j = parent_edge[w]
+            if j < 0 or names[k] < names[j]:
+                parent_edge[w] = k
+    return DirectedSubtree(host, parent_edge, sorted(dist))

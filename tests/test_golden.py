@@ -1,4 +1,5 @@
-"""Golden digests of the skew, fixed-point, tree and corner commands.
+"""Golden digests of the skew, fixed-point, tree, corner and
+check-kirchhoff commands.
 
 Output is byte-deterministic, so one sha256 per command (and group) pins
 every vertex and edge name, their order and each exit code over the
@@ -66,6 +67,36 @@ CORNER_DIGESTS = {
         "273522782156a539fec45fd0fba94d927b04972312c8582cd5b193c401ddf487",
     "tree":
         "e656325d8cfd9a1191d0b87f2cea988fc784afc1108cf30bb8d054f1b8399584",
+}
+
+# check-kirchhoff with its default bound, two small bounds (over z they
+# turn PASS into UNKNOWN) and the exact cycle-label check; each FAIL
+# certificate is pinned byte for byte.
+KIRCHHOFF_DIGESTS = {
+    ("", "z3"):
+        "59279c5b985c25522204bd404e6763e5ca8ea8c12658c1439345f4920eb6721b",
+    ("--bound 0", "z3"):
+        "59279c5b985c25522204bd404e6763e5ca8ea8c12658c1439345f4920eb6721b",
+    ("--bound 3", "z3"):
+        "59279c5b985c25522204bd404e6763e5ca8ea8c12658c1439345f4920eb6721b",
+    ("--loops-only", "z3"):
+        "2e9399b0c06269632c3e0c902cc5d494ff69c8e20ede9eb769ec0d2828974dfe",
+    ("", "z5"):
+        "c9429b18c86eec641cd02820faa0eb27451082b24af94f624afedec2e89419fc",
+    ("--bound 0", "z5"):
+        "c9429b18c86eec641cd02820faa0eb27451082b24af94f624afedec2e89419fc",
+    ("--bound 3", "z5"):
+        "c9429b18c86eec641cd02820faa0eb27451082b24af94f624afedec2e89419fc",
+    ("--loops-only", "z5"):
+        "f3cf21273cdc4d6760c9395bf686ca5cdc5984048837f0b1ab83ab95bf687d35",
+    ("", "z"):
+        "7872b7f9e58d2945229c1d7215c8eb23ca7c975a83c448035058f045910ec692",
+    ("--bound 0", "z"):
+        "85266dd450c392f7f7c1ae52137b09932b59d6d6136db263698c5850ce861605",
+    ("--bound 3", "z"):
+        "fc4eb99b3c4b129177a695924a056988f5ce48c582a61a86a302846363a3892c",
+    ("--loops-only", "z"):
+        "287c2f62f2cc20b5e9e557d61dbd71eb9c288952cf28b592176b0f446c7af2e8",
 }
 
 
@@ -140,3 +171,11 @@ def test_corner_digest(graph_files, command):
         return argv + words[1:]
 
     assert digest_of(graph_files, argv_of) == CORNER_DIGESTS[command]
+
+
+@pytest.mark.parametrize("options,group", sorted(KIRCHHOFF_DIGESTS))
+def test_kirchhoff_digest(graph_files, options, group):
+    digest = digest_of(graph_files, lambda name, path, g: (
+        ["check-kirchhoff", path, "--group", group] + options.split()
+    ))
+    assert digest == KIRCHHOFF_DIGESTS[(options, group)]

@@ -372,6 +372,27 @@ class TestKirchhoff:
                 simulate_kirchhoff_certificate(g, c, result)
         assert fails > 10  # the sample exercises both outcomes
 
+    def test_matches_brute_force_on_product_groups(self):
+        # Elements with several coordinates take the generic path of the
+        # group operation; each factor is reduced by its own modulus.
+        outcomes = {"PASS": 0, "FAIL": 0}
+        for seed in range(150):
+            rng = random.Random(f"product {seed}")
+            g = random_multigraph(rng, max_v=4, max_e=6)
+            group = GroupSpec.parse(rng.choice(["z2,z3", "z3,z2", "z4,z2"]))
+            c = Labelling.from_map(g, group, {
+                e.name: [0 if rng.random() < 0.4 else rng.randrange(-5, 6)
+                         for _ in group.moduli]
+                for e in g.edges
+            })
+            result = kirchhoff_check(g, c)
+            expected_fail = brute_force_kirchhoff_fails(g, c)
+            assert result.status == ("FAIL" if expected_fail else "PASS")
+            outcomes[result.status] += 1
+            if expected_fail:
+                simulate_kirchhoff_certificate(g, c, result)
+        assert min(outcomes.values()) > 20
+
 
 class TestCycleLabels:
     def test_rose2_z3_nontrivial(self):

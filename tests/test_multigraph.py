@@ -5,6 +5,7 @@ import pytest
 
 from graphcorners import (
     DirectedMultigraph,
+    Edge,
     GraphFormatError,
     Path,
     hereditary_closure,
@@ -112,6 +113,93 @@ class TestParse:
     def test_roundtrip_with_labels(self):
         g = rose2()
         assert parse_graph(serialize_graph(g)) == g
+
+
+class TestConstructor:
+    """The public constructor's error texts.  Items are checked in order,
+    vertices first; within an edge, its name comes before its endpoints."""
+
+    @pytest.mark.parametrize("vertices,edges,message", [
+        (["a b"], [], "invalid vertex name 'a b'"),
+        ([3], [], "invalid vertex name 3"),
+        ([["a"]], [], "invalid vertex name ['a']"),
+        (["a", ""], [], "invalid vertex name ''"),
+        (["a", "a"], [], "duplicate vertex name 'a'"),
+        (["a"], [("e", "a", "a"), ("e", "a", "a")],
+         "duplicate edge name 'e'"),
+        (["a"], [("e g", "a", "a")], "invalid edge name 'e g'"),
+        (["a"], [(3, "a", "a")], "invalid edge name 3"),
+        (["a"], [(["e"], "a", "a")], "invalid edge name ['e']"),
+        (["a"], [("e", "a", "b")], "edge 'e': endpoint 'b' undeclared"),
+        (["a"], [("e", "b", "c")], "edge 'e': endpoint 'b' undeclared"),
+        (["a"], [("e", 3, "a")], "edge 'e': endpoint 3 undeclared"),
+        (["a"], [Edge("e", "a", "q")], "edge 'e': endpoint 'q' undeclared"),
+        # Two errors at once: the first item in order wins.
+        (["a", "a", "b b"], [], "duplicate vertex name 'a'"),
+        (["a b", 3], [], "invalid vertex name 'a b'"),
+        (["a", "a"], [("e b", "x", "y")], "duplicate vertex name 'a'"),
+        (["a"], [("e", "a", "x"), ("f g", "a", "a")],
+         "edge 'e': endpoint 'x' undeclared"),
+        (["a"], [("e g", "a", "x")], "invalid edge name 'e g'"),
+        (["a"], [("e", "a", "a"), ("e", "a", "x")],
+         "duplicate edge name 'e'"),
+    ])
+    def test_error_text(self, vertices, edges, message):
+        with pytest.raises(GraphFormatError) as caught:
+            DirectedMultigraph(vertices, edges)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("vertices,edges,message", [
+        (["a"], [("e", "a")], "invalid edge item ('e', 'a'): expected "
+         "(NAME, SRC, DST[, LABEL])"),
+        (["a"], [["e", "a", "a", "1", "2"]], "invalid edge item "
+         "['e', 'a', 'a', '1', '2']: expected (NAME, SRC, DST[, LABEL])"),
+        (["a", "b"], ["eab"], "invalid edge item 'eab': expected "
+         "(NAME, SRC, DST[, LABEL])"),
+        (["a"], [3], "invalid edge item 3: expected "
+         "(NAME, SRC, DST[, LABEL])"),
+        (["a"], [("e", "a", "a", 1)], "edge 'e': invalid label 1"),
+        (["a"], [("e", "a", "a", "1 2")], "edge 'e': invalid label '1 2'"),
+        (["a"], [("e", "a", "a", "")], "edge 'e': invalid label ''"),
+        (["a"], [("e", "a", "a", " 1")], "edge 'e': invalid label ' 1'"),
+        (["a"], [("e", "a", "a", ("1",))],
+         "edge 'e': invalid label ('1',)"),
+        (["a"], [Edge("e", "a", "a", 2)], "edge 'e': invalid label 2"),
+        (["a"], [("e", ["a"], "a")], "edge 'e': endpoint ['a'] undeclared"),
+        # The same order: vertices first, then per edge item its shape,
+        # name, endpoints and label.
+        (["a", "a"], [("e",)], "duplicate vertex name 'a'"),
+        (["a"], [("e", "a", "x"), ("f",)],
+         "edge 'e': endpoint 'x' undeclared"),
+        (["a"], [("f",), ("e", "a", "x")],
+         "invalid edge item ('f',): expected (NAME, SRC, DST[, LABEL])"),
+        (["a"], [("e", "a", "x", 1)], "edge 'e': endpoint 'x' undeclared"),
+        (["a"], [("e", "a", "a", 1), ("e", "a", "a")],
+         "edge 'e': invalid label 1"),
+        (["a"], [("e g", "a", "a", 1)], "invalid edge name 'e g'"),
+    ])
+    def test_rejected_edge_items(self, vertices, edges, message):
+        with pytest.raises(GraphFormatError) as caught:
+            DirectedMultigraph(vertices, edges)
+        assert str(caught.value) == message
+
+    def test_accepted_labels_round_trip(self):
+        rng = random.Random(8)
+        tokens = [None, "0", "-1", "2,-3", "x", "#1", "a.b"]
+        for _ in range(50):
+            g = random_multigraph(rng)
+            g = DirectedMultigraph(g.vertices, [
+                (e.name, e.src, e.dst, rng.choice(tokens)) for e in g.edges
+            ])
+            assert parse_graph(serialize_graph(g)) == g
+
+    def test_edge_items_and_labels(self):
+        g = DirectedMultigraph(
+            ["a", "b"],
+            [("e", "a", "b"), ["f", "b", "a", "-1,2"], Edge("g", "a", "a")],
+        )
+        assert g.edges == (Edge("e", "a", "b"), Edge("f", "b", "a", "-1,2"),
+                           Edge("g", "a", "a"))
 
 
 class TestStructure:

@@ -231,3 +231,30 @@ class TestBuild:
                 roots = rng.sample(list(g.vertices), rng.randint(1, 4))
                 t = build_spanning_subtree(g, roots)
                 assert validate_subtree(g, t.tree_edges, t.roots) == t
+
+    def test_parents_are_least_named_in_edges_at_scale(self):
+        # Edge names are shuffled against their indices, so the least
+        # name is not the first edge met.
+        rng = random.Random(77)
+        for trial in range(8):
+            n = rng.randint(200, 400)
+            vs = [f"v{i}" for i in range(n)]
+            m = rng.choice([n + n // 2, 3 * n])
+            names = [f"e{k}" for k in range(m)]
+            rng.shuffle(names)
+            g = DirectedMultigraph(vs, [
+                (name, rng.choice(vs), rng.choice(vs)) for name in names
+            ])
+            roots = rng.sample(vs, rng.randint(1, 5))
+            t = build_spanning_subtree(g, roots)
+            dist = bfs_distances(g, roots)
+            parent = {
+                v: min(e.name for e in g.in_edges(v)
+                       if dist.get(e.src) == d - 1)
+                for v, d in dist.items() if d > 0
+            }
+            assert t.parent == parent
+            assert t.tree_edges == frozenset(parent.values())
+            assert t.tree_vertices == frozenset(dist)
+            assert t.roots == frozenset(roots)
+            assert validate_subtree(g, t.tree_edges, t.roots) == t
