@@ -5,9 +5,9 @@ All arithmetic is over Python integers, so results are exact.
 faster than the matrix, so it serves small matrices and the tests.
 ``k_theory`` needs only the invariant factors: ``invariant_factors``
 eliminates unit pivots in sparse form, then finishes a small dense
-remainder modulo one of its minors, so no entry outgrows that minor.  It
-raises ``BitBudgetExceededError`` rather than run on with entries longer
-than ``BIT_BUDGET`` bits.
+remainder modulo a gcd of its largest minors, which every factor
+divides, so no entry outgrows it.  It raises ``BitBudgetExceededError``
+rather than run on with entries longer than ``BIT_BUDGET`` bits.
 """
 
 from __future__ import annotations
@@ -272,10 +272,10 @@ def invariant_factors(rows: dict[int, dict[int, int]]) -> tuple[int, ...]:
 
     ``rows`` maps a row index to ``{column index: entry}``.  Unit pivots
     are eliminated in sparse form first.  On the dense rest A,
-    fraction-free elimination gives the rank r and a nonzero r x r minor
-    D, which every factor d_i divides.  The cokernel of A tensored with
-    Z/D is the sum of the Z/d_i and one Z/D per further row, so a
-    diagonal form over Z/D, whose entries stay below D, gives the
+    fraction-free elimination gives the rank r and a gcd g of r x r
+    minors, which every factor d_i divides.  The cokernel of A tensored
+    with Z/g is the sum of the Z/d_i and one Z/g per further row, so a
+    diagonal form over Z/g, whose entries stay below g, gives the
     factors: the first r of its chain.
     """
     from math import gcd
@@ -283,9 +283,9 @@ def invariant_factors(rows: dict[int, dict[int, int]]) -> tuple[int, ...]:
     units, A = _eliminate_units(rows)
     if not A:
         return (1,) * units
-    rank, D = _rank_and_minor(A, units)
-    found = _diagonal_mod(A, D)
-    found = [d for d in found if d > 1] + [D] * (len(A) - len(found))
+    rank, g = _rank_and_modulus(A, units)
+    found = _diagonal_mod(A, g)
+    found = [d for d in found + [g] * (len(A) - len(found)) if d > 1]
     # Fold each pair into (gcd, lcm) until d1 | d2 | ...
     found.sort()
     for i in range(len(found)):
@@ -300,14 +300,16 @@ def invariant_factors(rows: dict[int, dict[int, int]]) -> tuple[int, ...]:
 def _eliminate_units(
     rows: dict[int, dict[int, int]],
 ) -> tuple[int, list[list[int]]]:
-    """Eliminate +-1 pivots in Markowitz order, least
-    (row nnz - 1) * (column nnz - 1) first; return their count and the
-    dense rest, zero rows and columns dropped.
+    """Eliminate +-1 pivots, cheapest first by the Markowitz cost
+    (row nnz - 1) * (column nnz - 1) as last pushed; return their count
+    and the dense rest, zero rows and columns dropped.
 
     A unit pivot splits off Z/1 and leaves the Schur complement, whose
-    invariant factors are the remaining ones.  The heap keeps each
-    candidate's cost as of its push; a popped candidate whose cost has
-    grown since goes back with its new cost.
+    invariant factors are the remaining ones.  Each unit entry is pushed
+    once, at the start or when an update makes it a unit, with its cost
+    after that row's update.  A popped candidate whose cost has grown
+    since goes back with its new cost; one whose cost has fallen is
+    taken as it comes, so the order is close to, not strictly, Markowitz.
     """
     # Imported here, so that importing the package loads nothing new.
     from heapq import heapify, heappop, heappush
@@ -344,22 +346,25 @@ def _eliminate_units(
         for r2 in touched:
             row = rows[r2]
             f = row.pop(c) * p  # p == 1 / p
+            made = []
             for c2, y in pivot_row.items():
-                z = row.get(c2, 0) - f * y
+                x = row.get(c2, 0)
+                z = x - f * y
                 if z:
-                    if c2 not in row:
+                    if not x:
                         cols[c2].add(r2)
                     row[c2] = z
-                elif c2 in row:
+                    if (z == 1 or z == -1) and x != 1 and x != -1:
+                        made.append(c2)
+                elif x:
                     del row[c2]
                     cols[c2].discard(r2)
             if not row:
                 del rows[r2]
                 continue
             width = len(row) - 1
-            for c2, y in row.items():
-                if y == 1 or y == -1:
-                    heappush(heap, (width * (len(cols[c2]) - 1), r2, c2))
+            for c2 in made:
+                heappush(heap, (width * (len(cols[c2]) - 1), r2, c2))
         for c2 in pivot_row:
             if not cols[c2]:
                 del cols[c2]
@@ -368,10 +373,14 @@ def _eliminate_units(
     return units, [[row.get(c, 0) for c in left] for row in rows.values()]
 
 
-def _rank_and_minor(A: list[list[int]], pivots: int) -> tuple[int, int]:
-    """Rank r of A and |a nonzero r x r minor|, by fraction-free
-    (Bareiss) elimination; raises once a pivot row holds an entry longer
-    than ``BIT_BUDGET`` bits.  ``pivots`` counts those taken before."""
+def _rank_and_modulus(A: list[list[int]], pivots: int) -> tuple[int, int]:
+    """Rank r of A and the gcd of the r x r minors (Sylvester's identity)
+    that fill the active block, from the pivot column on, when
+    fraction-free (Bareiss) elimination picks its last pivot; every factor
+    divides it.  Raises once a pivot row holds an entry longer than
+    ``BIT_BUDGET`` bits; ``pivots`` counts those taken before."""
+    from math import gcd
+
     m, n = len(A), len(A[0])
     B = [row[:] for row in A]
     rank, prev = 0, 1
@@ -380,6 +389,8 @@ def _rank_and_minor(A: list[list[int]], pivots: int) -> tuple[int, int]:
         if t is None:
             continue
         B[rank], B[t] = B[t], B[rank]
+        # Rows are replaced, never changed in place, so this keeps the block.
+        block, last = B[rank:], col
         P = B[rank]
         bits = max(map(abs, P)).bit_length()
         if bits > BIT_BUDGET:
@@ -394,7 +405,7 @@ def _rank_and_minor(A: list[list[int]], pivots: int) -> tuple[int, int]:
                 B[i] = [a * x // prev for x in R]
         prev = a
         rank += 1
-    return rank, abs(prev)
+    return rank, gcd(*(x for R in block for x in R[last:]))
 
 
 def _diagonal_mod(A: list[list[int]], D: int) -> list[int]:

@@ -115,7 +115,8 @@ class DirectedMultigraph:
             if len(unique) != len(items):
                 seen: set[str] = set()
                 for x in items:
-                    _check_item(x, kind, seen)
+                    if x in seen:
+                        raise GraphFormatError(f"duplicate {kind} name {x!r}")
                     seen.add(x)
         self._names, self._src, self._dst, self._labels = (
             names, src, dst, labels)

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -152,6 +153,50 @@ def sparse(rows):
     return {i: dict(enumerate(row)) for i, row in enumerate(rows)}
 
 
+def last_bareiss_pivot(rows):
+    """|det| of the square submatrix on the pivots that fraction-free
+    elimination takes (in each column the first nonzero row left): the
+    product of the Gaussian pivots, over the rationals."""
+    A = [[Fraction(x) for x in row] for row in rows]
+    det, rank = Fraction(1), 0
+    for col in range(len(A[0])):
+        t = next((i for i in range(rank, len(A)) if A[i][col]), None)
+        if t is None:
+            continue
+        A[rank], A[t] = A[t], A[rank]
+        P = A[rank]
+        det *= P[col]
+        for i in range(rank + 1, len(A)):
+            f = A[i][col] / P[col]
+            A[i] = [x - f * y for x, y in zip(A[i], P)]
+        rank += 1
+    return abs(int(det))
+
+
+def rank_mod_prime(rows, p=(1 << 61) - 1):
+    """Rank over Z/p of a sparse matrix, shortest row first.  It is at most
+    the rank over the rationals, and equal unless p divides every maximal
+    nonzero minor."""
+    rows = [{c: x % p for c, x in row.items() if x % p}
+            for row in rows.values()]
+    rank = 0
+    while any(rows):
+        P = min(filter(None, rows), key=len)
+        c, x = next(iter(P.items()))
+        inverse = pow(x, -1, p)
+        rows = [row for row in rows if row and row is not P]
+        for row in rows:
+            f = row.get(c, 0) * inverse % p
+            for c2, y in P.items() if f else ():
+                z = (row.get(c2, 0) - f * y) % p
+                if z:
+                    row[c2] = z
+                else:
+                    del row[c2]
+        rank += 1
+    return rank
+
+
 class TestInvariantFactors:
     def test_against_smith_normal_form(self):
         for seed in range(300):
@@ -186,6 +231,45 @@ class TestInvariantFactors:
     def test_torsion_chain(self):
         # diag(4, 6) has factors 2 | 12; no entry is a unit.
         assert invariant_factors({0: {0: 4}, 1: {1: 6}}) == (2, 12)
+
+    def test_modulus(self):
+        # No torsion: the modulus is 1, not the last pivot 2.
+        assert invariants._rank_and_modulus([[2], [3]], 0) == (1, 1)
+        for seed in range(300):
+            rows = shaped_matrix(random.Random(seed))
+            units, A = invariants._eliminate_units(sparse(rows))
+            if not A:
+                continue
+            _, g = invariants._rank_and_modulus(A, units)
+            assert all(g % d == 0 for d in invariant_factors(sparse(rows)))
+            assert last_bareiss_pivot(A) % g == 0, rows
+
+    def test_unit_stage_leaves_no_unit(self, monkeypatch):
+        """Stage 1 pushes a unit entry only when it first becomes one; the
+        remainder must still hold none, and lose no rank."""
+        cases = []
+        for seed in range(300):
+            rows = shaped_matrix(random.Random(seed))
+            cases.append((sparse(rows),
+                          rational_rank(IntegerMatrix.from_rows(rows))))
+        graphs = []
+        monkeypatch.setattr(invariants, "invariant_factors",
+                            lambda rows: graphs.append(rows) or ())
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(100, 400)
+            vs = [f"v{i}" for i in range(n)]
+            k_theory(DirectedMultigraph(vs, [
+                (f"e{k}", rng.choice(vs), rng.choice(vs))
+                for k in range(3 * n)
+            ]))
+        cases += [(rows, rank_mod_prime(rows)) for rows in graphs]
+        for rows, rank in cases:
+            units, A = invariants._eliminate_units(rows)
+            assert not any(x in (1, -1) for row in A for x in row)
+            assert units + (
+                rational_rank(IntegerMatrix.from_rows(A)) if A else 0
+            ) == rank
 
     def test_bit_budget(self, monkeypatch):
         monkeypatch.setattr(invariants, "BIT_BUDGET", 1)

@@ -377,3 +377,10 @@ class TestExport:
         h = relabelled(g, vmap)
         assert are_isomorphic(g, h).isomorphic
         assert [e.name for e in h.edges] == [e.name for e in g.edges]
+        # New names are taken as given: a repeat is the one fault named,
+        # even when the repeated name is outside the file format.
+        for name in ("x", "x y"):
+            with pytest.raises(GraphFormatError) as caught:
+                relabelled(DirectedMultigraph(["a", "b"]),
+                           {"a": name, "b": name})
+            assert str(caught.value) == f"duplicate vertex name {name!r}"
