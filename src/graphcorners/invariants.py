@@ -13,6 +13,7 @@ rather than run on with entries longer than ``BIT_BUDGET`` bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from .multigraph import (
@@ -278,8 +279,6 @@ def invariant_factors(rows: dict[int, dict[int, int]]) -> tuple[int, ...]:
     diagonal form over Z/g, whose entries stay below g, gives the
     factors: the first r of its chain.
     """
-    from math import gcd
-
     units, A = _eliminate_units(rows)
     if not A:
         return (1,) * units
@@ -311,7 +310,7 @@ def _eliminate_units(
     since goes back with its new cost; one whose cost has fallen is
     taken as it comes, so the order is close to, not strictly, Markowitz.
     """
-    # Imported here, so that importing the package loads nothing new.
+    # Imported here, so that importing the package does not load heapq.
     from heapq import heapify, heappop, heappush
 
     rows = {r: {c: x for c, x in row.items() if x} for r, row in rows.items()}
@@ -379,8 +378,6 @@ def _rank_and_modulus(A: list[list[int]], pivots: int) -> tuple[int, int]:
     fraction-free (Bareiss) elimination picks its last pivot; every factor
     divides it.  Raises once a pivot row holds an entry longer than
     ``BIT_BUDGET`` bits; ``pivots`` counts those taken before."""
-    from math import gcd
-
     m, n = len(A), len(A[0])
     B = [row[:] for row in A]
     rank, prev = 0, 1
@@ -416,8 +413,6 @@ def _diagonal_mod(A: list[list[int]], D: int) -> list[int]:
     pivot over Z/D is folded into the pivot column by a column pair; that
     strictly lowers gcd(pivot, D), and the row pass runs again.
     """
-    from math import gcd
-
     rows = [r for r in ([x % D for x in row] for row in A) if any(r)]
     diagonal = []
     while rows:

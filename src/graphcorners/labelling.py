@@ -195,16 +195,16 @@ def _fast_op(group: GroupSpec) -> Callable[[Element, Element], Element]:
 
 
 def _numbering(c: Labelling, negate: bool) -> tuple:
-    """Group elements numbered in the order they are first met.
+    """Group elements numbered as they are first met, the identity first.
 
     Returns the list of elements, the function that numbers an element
-    and, per host edge e, a pair: its operand c(e), or -c(e) with
-    ``negate``, and a table from t to the number of elements[t] + operand,
-    which the caller fills on first use.  Edges with equal labels share
-    one pair.
+    and, per host vertex v, a tuple (e, range of e, operand, table) per
+    edge e leaving v: the operand is c(e), or -c(e) with ``negate``, and
+    the table maps t to the number of elements[t] + operand, filled by
+    the caller on first use.  Edges with equal labels share the last two.
     """
-    elements: list[Element] = []
-    numbers: dict[Element, int] = {}
+    elements: list[Element] = [c.group.identity]
+    numbers: dict[Element, int] = {c.group.identity: 0}
 
     def number(g: Element) -> int:
         i = numbers.setdefault(g, len(elements))
@@ -214,7 +214,9 @@ def _numbering(c: Labelling, negate: bool) -> tuple:
 
     pairs = {label: (c.group.inverse(label) if negate else label, {})
              for label in set(c.by_edge.values())}
-    return elements, number, [pairs[c.by_edge[e]] for e in c.host._names]
+    steps = [pairs[c.by_edge[e]] for e in c.host._names]
+    return elements, number, [[(k, c.host._dst[k], *steps[k]) for k in ks]
+                              for ks in c.host._out]
 
 
 def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
@@ -274,10 +276,9 @@ def _explore(
     """
     # The edge (e, s) runs from (s(e), c(e)+s), so the edges leaving the
     # state (v, t) have s = t - c(e).
-    elements, number, pairs = _numbering(c, negate=True)
+    elements, number, out = _numbering(c, negate=True)
     add = _fast_op(c.group)
     n = len(host.vertices)
-    out = [[(k, host._dst[k], *pairs[k]) for k in ks] for ks in host._out]
     states = [(v, number(g)) for v, g in seeds]
     state_of = {t * n + v: i for i, (v, t) in enumerate(states)}
     edges: list[tuple[int, int, int, int]] = []
@@ -344,11 +345,9 @@ def kirchhoff_check(
     infinite = [i for i, m in enumerate(c.group.moduli) if m == 0]
     # The state (v, t) is the int t*n + v, t an element number; the
     # identity is element 0, so the start states are the vertex indices.
-    elements, number, pairs = _numbering(c, negate=False)
-    number(c.group.identity)
+    elements, number, out = _numbering(c, negate=False)
     add = _fast_op(c.group)
     n = len(host.vertices)
-    out = [[(k, host._dst[k], *pairs[k]) for k in ks] for ks in host._out]
     inside = [True]  # whether element t lies within the bound
     GRAY, BLACK = 1, 2
     color: dict[int, int] = {}
@@ -422,9 +421,9 @@ def cycle_labels_trivial(
     label.
     """
     _check_labelling(host, c)
-    group = c.group
-    add = _fast_op(group)
-    names, src, dst = host._names, host._src, host._dst
+    add = _fast_op(c.group)
+    labels = list(map(c.by_edge.__getitem__, host._names))
+    src, dst = host._src, host._dst
     for comp in _strongly_connected_components(host):
         internal = [
             k for v in sorted(comp) for k in host._out[v] if dst[k] in comp
@@ -432,45 +431,53 @@ def cycle_labels_trivial(
         if not internal:
             continue
         base = min(comp)
-        pot, fwd = _component_tree(host, comp, base, c, forward=True)
-        _, bwd = _component_tree(host, comp, base, c, forward=False)
+        pot, fwd = _component_tree(host, comp, base, labels, c.group, True)
         for k in internal:
-            if add(pot[src[k]], c.by_edge[names[k]]) != pot[dst[k]]:
-                # One of the two closed walks below must carry a
-                # non-identity label; their difference is the mismatch.
-                through = fwd[src[k]] + (names[k],) + bwd[dst[k]]
-                start = host.vertices[base]
-                if path_label(c, Path(start, through)) != group.identity:
-                    return False, through
-                return False, fwd[dst[k]] + bwd[dst[k]]
+            via = add(pot[src[k]], labels[k])
+            if via != pot[dst[k]]:
+                # The tree walks base -> s(k) -k-> r(k) -> base and base ->
+                # r(k) -> base differ in label by the mismatch, so one of
+                # them, the witness, has a non-identity label.
+                back, bwd = _component_tree(host, comp, base, labels,
+                                            c.group, False)
+                if add(via, back[dst[k]]) != c.group.identity:
+                    head = _tree_walk(fwd, src, src[k], base)[::-1] + [k]
+                else:
+                    head = _tree_walk(fwd, src, dst[k], base)[::-1]
+                walk = head + _tree_walk(bwd, dst, dst[k], base)
+                return False, tuple(host._names[j] for j in walk)
     return True, None
 
 
-def _component_tree(host, comp, base, c, forward):
-    """BFS potentials and edge paths within one strong component, keyed
-    by vertex index.
-
-    forward=True: pot[v] = label of the tree path base -> v, path[v] its
-    edges.  forward=False: pot[v] = label of a path v -> base, path[v]
-    its edges.
-    """
-    add = _fast_op(c.group)
+def _component_tree(host, comp, base, labels, group, forward):
+    """BFS potentials within one strong component and the tree edge par[v]
+    that reached each vertex, keyed by vertex index: pot[v] is the label of
+    the tree path base -> v, or with forward=False of v -> base."""
+    add = _fast_op(group)
     adjacent, far = (
         (host._out, host._dst) if forward else (host._in, host._src)
     )
-    pot = {base: c.group.identity}
-    path: dict[int, tuple[str, ...]] = {base: ()}
+    pot = {base: group.identity}
+    par: dict[int, int] = {}
     queue = [base]
     for v in queue:
         for k in adjacent[v]:
             w = far[k]
             if w not in comp or w in pot:
                 continue
-            name = host._names[k]
-            pot[w] = add(pot[v], c.by_edge[name])
-            path[w] = path[v] + (name,) if forward else (name,) + path[v]
+            pot[w] = add(pot[v], labels[k])
+            par[w] = k
             queue.append(w)
-    return pot, path
+    return pot, par
+
+
+def _tree_walk(par, ends, v, base):
+    """The tree edges from v to base: par[v], then on from its end."""
+    walk = []
+    while v != base:
+        walk.append(k := par[v])
+        v = ends[k]
+    return walk
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,8 @@ errors and the public API.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
-from typing import Container, Hashable, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z0-9_@.-]+")
 
@@ -253,8 +252,8 @@ def parse_graph(text: str) -> DirectedMultigraph:
         if not tokens or tokens[0].startswith("#"):
             continue
         # A well-formed line passes _check_item's tests, made inline here;
-        # any other line goes through the checks below, which name what is
-        # wrong with it.
+        # any other line goes through the checks below, which raise, naming
+        # what is wrong with it.
         if (tokens[0] == "edge" and 4 <= len(tokens) <= 5
                 and valid(tokens[1]) and tokens[1] not in edges
                 and tokens[2] in vertices and tokens[3] in vertices):
@@ -271,14 +270,12 @@ def parse_graph(text: str) -> DirectedMultigraph:
                         f"expected 'vertex NAME', got {raw!r}"
                     )
                 _check_item(tokens[1], "vertex", vertices)
-                vertices[tokens[1]] = None
             elif tokens[0] == "edge":
                 if len(tokens) not in (4, 5):
                     raise GraphFormatError(
                         f"expected 'edge NAME SRC DST [LABEL]', got {raw!r}"
                     )
                 _check_item(tokens[1], "edge", edges, tokens[2:4], vertices)
-                edges[tokens[1]] = tokens[1:]
             else:
                 raise GraphFormatError(
                     f"unknown declaration {tokens[0]!r}"
@@ -315,30 +312,27 @@ def to_dot(g: DirectedMultigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _kahn(successors: Mapping[Hashable, Iterable[Hashable]]) -> list:
-    """Kahn's algorithm over the nodes (the mapping's keys, in order).
+def _kahn(successors: list[list[int]]) -> list[int]:
+    """Kahn's algorithm over the nodes 0..n-1, given their successors.
 
     Returns the nodes in topological order; on a cycle the list stops
     short of the nodes on or behind it.
     """
-    indeg = dict.fromkeys(successors, 0)
-    for ws in successors.values():
+    indeg = [0] * len(successors)
+    for ws in successors:
         for w in ws:
             indeg[w] += 1
-    queue = deque(v for v, d in indeg.items() if d == 0)
-    order = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
+    order = [v for v, d in enumerate(indeg) if d == 0]
+    for v in order:
         for w in successors[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                queue.append(w)
+                order.append(w)
     return order
 
 
-def _successors(g: DirectedMultigraph) -> dict[int, list[int]]:
-    return {i: [g._dst[k] for k in out] for i, out in enumerate(g._out)}
+def _successors(g: DirectedMultigraph) -> list[list[int]]:
+    return [[g._dst[k] for k in out] for out in g._out]
 
 
 def is_acyclic(g: DirectedMultigraph) -> bool:

@@ -19,7 +19,6 @@ from .multigraph import (
     _distances,
     _kahn,
     bfs_distances,  # noqa: F401  (re-exported)
-    hereditary_closure,
 )
 
 
@@ -92,61 +91,60 @@ def validate_subtree(
     other spanned vertex must receive exactly one, and the tree edges must
     stay inside the closure and form no cycle.
     """
-    edges = [host.edge(name) for name in dict.fromkeys(tree_edges)]
-    root_list = list(dict.fromkeys(roots))
-    for v in root_list:
-        host._require_vertex(v)
-    root_set = set(root_list)
-
-    closure = hereditary_closure(host, root_list)
+    vs, names, src, dst = host.vertices, host._names, host._src, host._dst
+    given = list(dict.fromkeys(tree_edges))
+    edges = list(map(host._edge_index.get, given))
+    if None in edges:
+        raise GraphFormatError(f"unknown edge {given[edges.index(None)]!r}")
+    closure = _distances(host, roots)  # the roots are at distance 0
     violations: list[str] = []
 
-    incoming: dict[str, list[str]] = {}
-    children: dict[str, list[str]] = {v: [] for v in closure}
-    for e in edges:
-        outside = [w for w in (e.src, e.dst) if w not in closure]
+    incoming: dict[int, list[str]] = {}
+    children: list[list[int]] = [[] for _ in vs]
+    for k in edges:
+        outside = [w for w in (src[k], dst[k]) if w not in closure]
         for w in outside:
             violations.append(
-                f"tree edge {e.name!r} has endpoint {w!r} outside the "
+                f"tree edge {names[k]!r} has endpoint {vs[w]!r} outside the "
                 f"spanned vertex set"
             )
         if not outside:
-            children[e.src].append(e.dst)
-        incoming.setdefault(e.dst, []).append(e.name)
+            children[src[k]].append(dst[k])
+        incoming.setdefault(dst[k], []).append(names[k])
 
-    for v in sorted(incoming):
-        names = incoming[v]
-        if len(names) > 1:
+    for v in sorted(incoming, key=vs.__getitem__):
+        received = incoming[v]
+        if len(received) > 1:
             violations.append(
-                f"in-degree violation: vertex {v!r} receives "
-                f"{len(names)} tree edges ({', '.join(sorted(names))})"
+                f"in-degree violation: vertex {vs[v]!r} receives "
+                f"{len(received)} tree edges ({', '.join(sorted(received))})"
             )
 
-    for v in sorted(root_set):
-        if v in incoming:
+    spanned = sorted(closure, key=vs.__getitem__)
+    for v in spanned:
+        if not closure[v] and v in incoming:
             violations.append(
-                f"root-set mismatch: root {v!r} receives tree edge "
+                f"root-set mismatch: root {vs[v]!r} receives tree edge "
                 f"{incoming[v][0]!r}"
             )
-    for v in sorted(closure - root_set):
-        if v not in incoming:
+    for v in spanned:
+        if closure[v] and v not in incoming:
             violations.append(
-                f"root-set mismatch: non-root vertex {v!r} receives no "
+                f"root-set mismatch: non-root vertex {vs[v]!r} receives no "
                 f"tree edge"
             )
 
-    if len(_kahn(children)) != len(closure):
+    # No child list holds a vertex outside the closure: Kahn passes them.
+    if len(_kahn(children)) != len(vs):
         violations.append("cycle among tree edges")
 
     if violations:
         raise SubtreeValidationError(violations)
 
-    index = host._index
-    parent_edge = [-1] * len(host.vertices)
-    for e in edges:
-        parent_edge[index[e.dst]] = host._edge_index[e.name]
-    return DirectedSubtree(host, parent_edge,
-                           sorted(map(index.__getitem__, closure)))
+    parent_edge = [-1] * len(vs)
+    for k in edges:
+        parent_edge[dst[k]] = k
+    return DirectedSubtree(host, parent_edge, sorted(closure))
 
 
 def root_path(tree: DirectedSubtree, v: str) -> Path:

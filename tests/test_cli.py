@@ -1,11 +1,14 @@
+import ast
 import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import graphcorners
 from graphcorners import invariants, parse_graph, serialize_graph
 from graphcorners.cli import main
 
@@ -364,3 +367,43 @@ def test_outputs_reparse(files, capsys):
         code, out, _ = run(capsys, argv)
         assert code == 0
         parse_graph(out)
+
+
+IMPORT_PROBE = """
+import sys
+for name in sys.argv[1:]:
+    __import__(name)
+before = set(sys.modules)
+import graphcorners.cli
+print(*sorted(set(sys.modules) - before))
+print(*sorted(sys.modules))
+"""
+
+
+def test_cli_import_loads_only_the_package_and_its_stdlib_imports():
+    # The stdlib modules named at the top level of the package's modules
+    # are imported first; importing the CLI after them may add the
+    # package's own modules and nothing else.  So a third-party import or
+    # a function-level stdlib import run at import time would show, and
+    # heapq, imported where it is used, must stay unloaded.  ``-S`` keeps
+    # site's start-up imports out of the picture.
+    package = Path(graphcorners.__file__).resolve().parent
+    stdlib = set()
+    for source in package.glob("*.py"):
+        for node in ast.parse(source.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                stdlib.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                stdlib.add(node.module)
+    stdlib = {name for name in stdlib
+              if name.split(".")[0] in sys.stdlib_module_names}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE, *sorted(stdlib)],
+        capture_output=True, text=True, check=True,
+        env=os.environ | {"PYTHONPATH": str(package.parent)},
+    )
+    added, everything = (line.split() for line in done.stdout.splitlines())
+    assert "graphcorners.cli" in added
+    assert [name for name in added if name.split(".")[0] != "graphcorners"
+            ] == []
+    assert {"heapq", "sympy", "networkx"}.isdisjoint(everything)

@@ -1,6 +1,9 @@
 import random
+import time
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcorners import (
     CapExceededError,
@@ -394,20 +397,60 @@ class TestKirchhoff:
         assert min(outcomes.values()) > 20
 
 
+def walk_label(c, walk):
+    return reduce(c.group.op, map(c.label, walk), c.group.identity)
+
+
+def assert_nontrivial_closed_walk(g, c, walk):
+    """``walk`` is a closed walk of g whose label is not the identity."""
+    at = g.edge(walk[0]).src
+    for name in walk:
+        e = g.edge(name)
+        assert e.src == at
+        at = e.dst
+    assert at == g.edge(walk[0]).src
+    assert walk_label(c, walk) != c.group.identity
+
+
+def chorded_cycle(n, seed):
+    """The cycle v0 -> v1 -> ... -> v(n-1) -> v0 plus a chord v(i) ->
+    v(i-2) at every third vertex, labelled over z by the differences of
+    random vertex potentials, so that every cycle has label 0."""
+    rng = random.Random(seed)
+    pot = [rng.randint(-50, 50) for _ in range(n)]
+    ends = [(f"c{i}", i, (i + 1) % n) for i in range(n)]
+    ends += [(f"h{i}", i, (i - 2) % n) for i in range(0, n, 3)]
+    g = DirectedMultigraph(
+        [f"v{i}" for i in range(n)],
+        [(name, f"v{i}", f"v{j}", str(pot[j] - pot[i]))
+         for name, i, j in ends],
+    )
+    return g, Labelling.from_graph(g, GroupSpec.parse("z"))
+
+
+@st.composite
+def labelled_multigraphs(draw):
+    """A multigraph on at most 5 vertices and 8 edges, labelled in one of
+    the finite or mixed groups z3, z,z2 and z2,z3."""
+    group = GroupSpec.parse(draw(st.sampled_from(["z3", "z,z2", "z2,z3"])))
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    label = st.tuples(*[st.integers(-3, 3)] * len(group.moduli))
+    edges = draw(st.lists(st.tuples(vertex, vertex, label), max_size=8))
+    g = DirectedMultigraph(
+        [f"v{i}" for i in range(n)],
+        [(f"e{k}", f"v{i}", f"v{j}") for k, (i, j, _) in enumerate(edges)],
+    )
+    labels = {f"e{k}": x for k, (_, _, x) in enumerate(edges)}
+    return g, Labelling.from_map(g, group, labels)
+
+
 class TestCycleLabels:
     def test_rose2_z3_nontrivial(self):
         g, c = rose2_z3()
         ok, cycle = cycle_labels_trivial(g, c)
         assert not ok
-        acc = c.group.identity
-        at = g.edge(cycle[0]).src
-        for name in cycle:
-            e = g.edge(name)
-            assert e.src == at
-            at = e.dst
-            acc = c.group.op(acc, c.label(name))
-        assert at == g.edge(cycle[0]).src
-        assert acc != c.group.identity
+        assert_nontrivial_closed_walk(g, c, cycle)
 
     def test_balanced_labelling_trivial(self):
         g = cyc6()
@@ -435,6 +478,44 @@ class TestCycleLabels:
             assert ok == expected
             if not ok:
                 assert sum(c.label(n)[0] for n in cycle) != 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(labelled_multigraphs())
+    def test_matches_simple_cycles_in_finite_and_mixed_groups(self, gc):
+        g, c = gc
+        expected = all(walk_label(c, cyc) == c.group.identity
+                       for cyc in enumerate_simple_cycles(g))
+        ok, cycle = cycle_labels_trivial(g, c)
+        assert ok == expected
+        if ok:
+            assert cycle is None
+        else:
+            assert_nontrivial_closed_walk(g, c, cycle)
+
+    def test_long_chorded_cycle_passes_in_linear_time(self):
+        g, c = chorded_cycle(12_000, seed=5)
+        start = time.perf_counter()
+        result = cycle_labels_trivial(g, c)
+        elapsed = time.perf_counter() - start
+        assert result == (True, None)
+        assert elapsed < 1.0
+
+    def test_long_chorded_cycle_with_one_bad_chord_fails(self):
+        g, _ = chorded_cycle(12_000, seed=5)
+        bad = g.edge("h6000")
+        g = DirectedMultigraph(g.vertices, [
+            e if e.name != bad.name else (e.name, e.src, e.dst,
+                                          str(int(e.label) + 1))
+            for e in g.edges
+        ])
+        c = Labelling.from_graph(g, GroupSpec.parse("z"))
+        start = time.perf_counter()
+        ok, cycle = cycle_labels_trivial(g, c)
+        elapsed = time.perf_counter() - start
+        assert not ok
+        assert_nontrivial_closed_walk(g, c, cycle)
+        assert elapsed < 1.0
 
 
 class TestFixedPoint:

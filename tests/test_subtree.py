@@ -28,44 +28,106 @@ class TestValidate:
         assert t.roots == {"v0"}
         assert t.parent == {"v1": "e1", "v2": "f2"}
 
-    def test_double_parent(self):
+    # The violation lists below are pinned whole: text and order.  The
+    # order is: endpoints outside the closure, per tree edge as given;
+    # in-degree faults by vertex name; roots receiving a tree edge, then
+    # non-roots receiving none, each by vertex name; a cycle last.
+
+    @staticmethod
+    def _violations(g, tree_edges, roots):
         with pytest.raises(SubtreeValidationError) as exc:
-            validate_subtree(cyc6(), ["e1", "e2", "f2"], ["v0"])
-        assert any(
-            "in-degree" in v and "'v2'" in v for v in exc.value.violations
-        )
+            validate_subtree(g, tree_edges, roots)
+        assert str(exc.value) == "; ".join(exc.value.violations)
+        return exc.value.violations
+
+    def test_double_parent(self):
+        assert self._violations(cyc6(), ["e1", "e2", "f2"], ["v0"]) == [
+            "in-degree violation: vertex 'v2' receives 2 tree edges (e2, f2)",
+        ]
 
     def test_root_set_mismatch(self):
-        with pytest.raises(SubtreeValidationError) as exc:
-            validate_subtree(cyc6(), ["e1", "f2"], ["v1"])
-        texts = exc.value.violations
-        assert any("root 'v1' receives tree edge" in v for v in texts)
-        assert any(
-            "non-root vertex 'v0' receives no tree edge" in v for v in texts
-        )
+        assert self._violations(cyc6(), ["e1", "f2"], ["v1"]) == [
+            "root-set mismatch: root 'v1' receives tree edge 'e1'",
+            "root-set mismatch: non-root vertex 'v0' receives no tree edge",
+        ]
+
+    def test_root_names_the_first_given_tree_edge(self):
+        assert self._violations(
+            cyc6(), ["f0", "e0", "e1", "f2"], ["v0"]
+        ) == [
+            "in-degree violation: vertex 'v0' receives 2 tree edges (e0, f0)",
+            "root-set mismatch: root 'v0' receives tree edge 'f0'",
+            "cycle among tree edges",
+        ]
+
+    def test_non_roots_receiving_no_tree_edge(self):
+        assert self._violations(cyc6(), [], ["v0"]) == [
+            "root-set mismatch: non-root vertex 'v1' receives no tree edge",
+            "root-set mismatch: non-root vertex 'v2' receives no tree edge",
+        ]
 
     def test_endpoint_outside_spanned_set(self):
         g = DirectedMultigraph(
             ["a", "b", "c"], [("e", "a", "b"), ("f", "c", "a")]
         )
-        with pytest.raises(SubtreeValidationError) as exc:
-            validate_subtree(g, ["f"], ["a"])
-        assert any("outside" in v for v in exc.value.violations)
+        assert self._violations(g, ["f"], ["a"]) == [
+            "tree edge 'f' has endpoint 'c' outside the spanned vertex set",
+            "root-set mismatch: root 'a' receives tree edge 'f'",
+            "root-set mismatch: non-root vertex 'b' receives no tree edge",
+        ]
+
+    def test_loop_outside_is_reported_per_endpoint(self):
+        g = DirectedMultigraph(
+            ["a", "b", "c"],
+            [("e", "a", "b"), ("f", "c", "a"), ("h", "c", "c")],
+        )
+        outside = "has endpoint 'c' outside the spanned vertex set"
+        assert self._violations(g, ["e", "f", "h"], ["a"]) == [
+            f"tree edge 'f' {outside}",
+            f"tree edge 'h' {outside}",
+            f"tree edge 'h' {outside}",
+            "root-set mismatch: root 'a' receives tree edge 'f'",
+        ]
 
     def test_cycle_among_tree_edges(self):
         g = DirectedMultigraph(
             ["r", "a", "b"],
             [("p", "r", "a"), ("q", "a", "b"), ("s", "b", "a")],
         )
-        with pytest.raises(SubtreeValidationError) as exc:
-            validate_subtree(g, ["q", "s"], ["r"])
-        assert any("cycle" in v for v in exc.value.violations)
+        assert self._violations(g, ["q", "s"], ["r"]) == [
+            "cycle among tree edges",
+        ]
+
+    def test_several_faults_in_one_tree(self):
+        # Vertex names sort differently from their insertion order, and
+        # the tree edges and roots repeat.
+        g = DirectedMultigraph(
+            ["r", "a", "b", "c", "d", "x", "n", "g"],
+            [("p", "r", "a"), ("q", "a", "b"), ("s", "b", "a"),
+             ("t", "r", "b"), ("u", "x", "a"), ("w", "b", "c"),
+             ("y", "c", "d"), ("z", "d", "r"), ("m", "c", "c"),
+             ("o", "d", "n"), ("i", "d", "g")],
+        )
+        assert self._violations(
+            g, ["u", "s", "q", "t", "z", "m", "p", "s"], ["r", "d", "r"]
+        ) == [
+            "tree edge 'u' has endpoint 'x' outside the spanned vertex set",
+            "in-degree violation: vertex 'a' receives 3 tree edges (p, s, u)",
+            "in-degree violation: vertex 'b' receives 2 tree edges (q, t)",
+            "root-set mismatch: root 'r' receives tree edge 'z'",
+            "root-set mismatch: non-root vertex 'g' receives no tree edge",
+            "root-set mismatch: non-root vertex 'n' receives no tree edge",
+            "cycle among tree edges",
+        ]
 
     def test_unknown_names(self):
-        with pytest.raises(GraphFormatError):
-            validate_subtree(cyc6(), ["zz"], ["v0"])
-        with pytest.raises(GraphFormatError):
-            validate_subtree(cyc6(), ["e1"], ["zz"])
+        # The first unknown name is reported, tree edges before roots.
+        with pytest.raises(GraphFormatError, match="^unknown edge 'zz'$"):
+            validate_subtree(cyc6(), ["e1", "zz", "yy"], ["v0"])
+        with pytest.raises(GraphFormatError, match="^unknown edge 'zz'$"):
+            validate_subtree(cyc6(), ["zz"], ["qq"])
+        with pytest.raises(GraphFormatError, match="^unknown vertex 'qq'$"):
+            validate_subtree(cyc6(), ["e1"], ["v0", "qq", "pp"])
 
     def test_empty_tree_for_hereditary_roots(self):
         g = pqr(1, 1, 1)
