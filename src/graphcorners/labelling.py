@@ -176,7 +176,7 @@ def path_label(c: Labelling, mu: Path) -> Element:
     path_range(c.host, mu)
     acc = c.group.identity
     for name in mu.edges:
-        acc = c.group.op(acc, c.label(name))
+        acc = c.group.op(acc, c.by_edge[name])
     return acc
 
 

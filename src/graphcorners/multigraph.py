@@ -66,9 +66,10 @@ class DirectedMultigraph:
     columns hold each edge's name, source index, range index and label,
     and ``_out[v]``/``_in[v]`` list the edges leaving and entering v.  The
     library works on indices; ``Edge`` objects are made on request only.
-    The public constructor checks every item (names, endpoints, the shape
-    of each edge item and each label); graphs derived from a valid graph
-    are built by the trusted ``_from_indices``.
+    The public constructor checks every item in one pass (names,
+    endpoints, each edge item's shape and label); ``parse_graph``, which
+    checks each line as it reads it, and graphs derived from a valid
+    graph build through the trusted ``_from_indices``.
     """
 
     __slots__ = ("vertices", "_index", "_names", "_src", "_dst", "_labels",
@@ -79,22 +80,12 @@ class DirectedMultigraph:
         vertices: Iterable[str],
         edges: Iterable[Edge | tuple | list] = (),
     ) -> None:
-        vertices, items = tuple(vertices), list(edges)
-        rows = list(map(_row, items))
-        # Whole-column checks: _check_items names the first bad item, and
-        # _fill a repeated name.
-        try:
-            index = dict(zip(vertices, range(len(vertices))))
-            names, src, dst, labels = ([r[q] for r in rows] for q in range(4))
-            src, dst = (list(map(index.__getitem__, e)) for e in (src, dst))
-            valid = (all(map(NAME_RE.fullmatch, vertices))
-                     and all(map(NAME_RE.fullmatch, names))
-                     and all(map(_is_label, set(labels))))
-        except (TypeError, KeyError):
-            valid = False
-        if not valid:
-            _check_items(vertices, items)
-        self._fill(vertices, names, src, dst, labels)
+        vertices = tuple(vertices)
+        rows = _check_items(vertices, list(edges))
+        index = dict(zip(vertices, range(len(vertices))))
+        self._fill(vertices, [r[0] for r in rows],
+                   [index[r[1]] for r in rows], [index[r[2]] for r in rows],
+                   [r[3] for r in rows])
 
     @classmethod
     def _from_indices(cls, vertices, names, src, dst, labels=None):
@@ -223,15 +214,16 @@ def _is_label(text: object) -> bool:
     return text is None or isinstance(text, str) and text.split() == [text]
 
 
-def _check_items(vertices: Sequence, items: list) -> None:
+def _check_items(vertices: Sequence, items: list) -> list[tuple]:
     """Raise for the first bad item: vertices first, then each edge item's
-    shape, name, endpoints and label, in order."""
+    shape, name, endpoints and label, in order.  Return the edge rows."""
     index: dict[str, None] = {}
     for v in vertices:
         _check_item(v, "vertex", index)
         index[v] = None
     taken: set[str] = set()
-    for e, row in zip(items, map(_row, items)):
+    rows = list(map(_row, items))
+    for e, row in zip(items, rows):
         if row is None:
             raise GraphFormatError(f"invalid edge item {e!r}: expected "
                                    f"(NAME, SRC, DST[, LABEL])")
@@ -240,28 +232,34 @@ def _check_items(vertices: Sequence, items: list) -> None:
             raise GraphFormatError(
                 f"edge {row[0]!r}: invalid label {row[3]!r}")
         taken.add(row[0])
+    return rows
 
 
 def parse_graph(text: str) -> DirectedMultigraph:
     """Parse graph-file content; errors report the offending line number."""
-    vertices: dict[str, None] = {}
-    edges: dict[str, list[str]] = {}
+    vertices: dict[str, int] = {}
+    edges: dict[str, None] = {}
+    src, dst, labels = [], [], []
     valid = NAME_RE.fullmatch
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue
-        # A well-formed line passes _check_item's tests, made inline here;
-        # any other line goes through the checks below, which raise, naming
-        # what is wrong with it.
+        # A well-formed line passes _check_item's tests, made inline here,
+        # and joins the columns for the trusted constructor (a label is one
+        # token by construction); any other line goes through the checks
+        # below, which raise, naming what is wrong with it.
         if (tokens[0] == "edge" and 4 <= len(tokens) <= 5
                 and valid(tokens[1]) and tokens[1] not in edges
                 and tokens[2] in vertices and tokens[3] in vertices):
-            edges[tokens[1]] = tokens[1:]
+            edges[tokens[1]] = None
+            src.append(vertices[tokens[2]])
+            dst.append(vertices[tokens[3]])
+            labels.append(tokens[4] if len(tokens) == 5 else None)
             continue
         if (tokens[0] == "vertex" and len(tokens) == 2
                 and valid(tokens[1]) and tokens[1] not in vertices):
-            vertices[tokens[1]] = None
+            vertices[tokens[1]] = len(vertices)
             continue
         try:
             if tokens[0] == "vertex":
@@ -282,7 +280,8 @@ def parse_graph(text: str) -> DirectedMultigraph:
                 )
         except GraphFormatError as exc:
             raise GraphFormatError(f"line {lineno}: {exc}") from None
-    return DirectedMultigraph(vertices, edges.values())
+    return DirectedMultigraph._from_indices(vertices, list(edges), src,
+                                            dst, labels)
 
 
 def serialize_graph(g: DirectedMultigraph) -> str:

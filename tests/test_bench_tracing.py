@@ -19,6 +19,7 @@ import tracing  # noqa: E402
 from workloads import SMALL, WORKLOADS  # noqa: E402
 
 from graphcorners import cli  # noqa: E402
+from graphcorners.multigraph import DirectedMultigraph  # noqa: E402
 
 
 def traced_job(tmp_path, name):
@@ -49,7 +50,18 @@ def test_traced_acyclic_job(tmp_path):
     assert {
         "cli", "multigraph.parse", "subtree.descendants", "corner.corner",
     } <= set(recorder.names)
-    assert recorder.counts["multigraph.init_calls"] > 0
+    # Parsing hands its checked columns to the trusted constructor, so a
+    # job checks each graph once and never calls the public one.
+    assert recorder.counts["multigraph.init_calls"] == 0
+    # The public constructor is still wrapped and counted.
+    vertices = ("a", "b", "c")
+    recorder.install()
+    try:
+        DirectedMultigraph(vertices, [("e", "a", "b")])
+    finally:
+        recorder.uninstall()
+    assert recorder.counts["multigraph.init_calls"] == 1
+    assert recorder.counts["multigraph.vertices_validated"] == len(vertices)
 
 
 def test_traced_k_theory_job(tmp_path):

@@ -106,13 +106,42 @@ class TestParse:
         assert g.edges[0].label == "-2,1"
 
     def test_roundtrip_is_identity(self):
-        for seed in range(20):
-            g = random_multigraph(random.Random(seed))
+        # Parsing fills the label column itself, so labelled and unlabelled
+        # edges, parallel ones among them, must come back as they were.
+        tokens = ["0", "-1", "2,-3", "x", "#1", "a.b"]
+        mixed = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            g = random_multigraph(rng, max_e=12)
+            g = DirectedMultigraph(g.vertices, [
+                (e.name, e.src, e.dst, rng.choice(tokens))
+                if rng.random() < 0.5 else e
+                for e in g.edges
+            ])
             assert parse_graph(serialize_graph(g)) == g
+            ends = [(e.src, e.dst) for e in g.edges]
+            mixed += ({e.label is None for e in g.edges} == {True, False}
+                      and len(set(ends)) < len(ends))
+        assert mixed >= 100
 
     def test_roundtrip_with_labels(self):
         g = rose2()
         assert parse_graph(serialize_graph(g)) == g
+
+    def test_parse_never_calls_the_public_constructor(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_graph called DirectedMultigraph()")
+
+        monkeypatch.setattr(DirectedMultigraph, "__init__", refuse)
+        g = parse_graph(
+            "# labelled\r\nvertex a\r\n\tvertex\tb \r\n\r\n"
+            "edge e a b -1,2\r\nedge\tf\tb\ta\r\n  # loop\r\n"
+            "edge g a a x\r\nedge h a b\r\n"
+        )
+        assert g._columns() == (
+            ("a", "b"), ["e", "f", "g", "h"], [0, 1, 0, 0], [1, 0, 0, 1],
+            ["-1,2", None, "x", None],
+        )
 
 
 class TestConstructor:
