@@ -48,6 +48,8 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
     a tree-descendant of r(e).  Should two such names coincide, each later
     one gets the suffix ``.j`` with the least j >= 1 that leaves it unique.
     """
+    if tree.host is not host and tree.host != host:
+        raise ValueError("subtree belongs to a different graph")
     vs, names, src, dst = host.vertices, host._names, host._src, host._dst
     parent_edge, children = tree.parent_edge, tree._children
     # The corner index of each host vertex, -1 where it is not kept.
@@ -59,9 +61,27 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
             kept[v] = len(kept_names)
             kept_names.append(vs[v])
 
-    # The corner indices of the kept descendants of each range vertex,
-    # walked once per distinct range.
-    targets: dict[int, list[int]] = {}
+    # Below its root, every vertex's descendants come in the order of
+    # the root's own: by (depth, name).  Rank the kept vertices by it.
+    roots = [v for v in tree.spanned_indices if parent_edge[v] < 0]
+    rank = {c: i for i, c in enumerate([j for r in roots for j in map(
+        kept.__getitem__, descendants(tree, r, indices=True)) if j >= 0])}
+    # A preorder lists the kept vertices below v as pre[first[v]:last[v]];
+    # ~v on the stack marks the end of v's subtree.
+    pre: list[int] = []
+    first, last = [0] * len(vs), [0] * len(vs)
+    stack = roots[:]
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            last[~v] = len(pre)
+            continue
+        first[v] = len(pre)
+        if kept[v] >= 0:
+            pre.append(kept[v])
+        stack.append(~v)
+        stack += children[v]
+
     origin: list[int] = []
     edge_src: list[int] = []
     edge_dst: list[int] = []
@@ -69,14 +89,8 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
         # A spanned source of a non-tree edge is always kept.
         if kept[s] < 0 or parent_edge[d] == k:
             continue
-        ids = targets.get(d)
-        if ids is None:
-            # A tree leaf is its own only descendant, and it is kept.
-            ids = targets[d] = [
-                i for i in map(kept.__getitem__,
-                               descendants(tree, d, indices=True))
-                if i >= 0
-            ] if children[d] else [kept[d]]
+        ids = pre[first[d]:last[d]]
+        ids.sort(key=rank.__getitem__)
         origin += [k] * len(ids)
         edge_src += [kept[s]] * len(ids)
         edge_dst += ids

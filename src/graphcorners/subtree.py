@@ -167,9 +167,9 @@ def descendants(
     """Vertices reachable from v along tree edges, v included.
 
     Ordered by tree distance from v, then by vertex name, which is the
-    order the corner construction enumerates targets in.  With
-    ``indices``, v (which must be spanned) and the result are host
-    vertex indices, the form the corner construction uses.
+    order the corner construction enumerates targets in; it calls this
+    once per root and ranks the kept vertices by it.  With ``indices``,
+    v (which must be spanned) and the result are host vertex indices.
     """
     names = tree.host.vertices
     if not indices:

@@ -24,7 +24,7 @@ from graphcorners.multigraph import DirectedMultigraph  # noqa: E402
 
 def traced_job(tmp_path, name):
     """Run one small job of a workload under the tracer; return its exit
-    codes and the recorder."""
+    codes, the recorder and the job's graph."""
     workload = WORKLOADS[name]
     g = workload.make(random.Random("tracing"), **SMALL[name])
     path = tmp_path / "job.graph"
@@ -41,15 +41,19 @@ def traced_job(tmp_path, name):
     finally:
         recorder.uninstall()
     assert cli.main is original_main
-    return codes, recorder
+    return codes, recorder, g
 
 
 def test_traced_acyclic_job(tmp_path):
-    codes, recorder = traced_job(tmp_path, "acyclic")
+    codes, recorder, g = traced_job(tmp_path, "acyclic")
     assert codes == [0] * len(codes)
     assert {
         "cli", "multigraph.parse", "subtree.descendants", "corner.corner",
     } <= set(recorder.names)
+    # The corner walks each tree once per root: the given roots, then
+    # the identity fibre of the skew, one root per host vertex.
+    assert recorder.counts["subtree.descendants_calls"] == (
+        len(g.roots) + len(g.vertices))
     # Parsing hands its checked columns to the trusted constructor, so a
     # job checks each graph once and never calls the public one.
     assert recorder.counts["multigraph.init_calls"] == 0
@@ -65,6 +69,6 @@ def test_traced_acyclic_job(tmp_path):
 
 
 def test_traced_k_theory_job(tmp_path):
-    codes, recorder = traced_job(tmp_path, "k-theory")
+    codes, recorder, _ = traced_job(tmp_path, "k-theory")
     assert codes == [0]
     assert {"cli", "multigraph.parse", "invariants.kth"} <= set(recorder.names)

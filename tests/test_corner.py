@@ -1,5 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import graphcorners
 from graphcorners import (
     DirectedMultigraph,
     are_isomorphic,
@@ -7,6 +15,8 @@ from graphcorners import (
     corner_graph,
     hereditary_closure,
     is_acyclic,
+    parse_graph,
+    serialize_graph,
     validate_subtree,
 )
 
@@ -187,3 +197,137 @@ def test_clashing_names_take_the_least_free_suffix():
         "a@b@c": ("a", "b@c"), "a@b@c.2": ("a@b", "c"),
         "a@b@c.1": ("a@b", "c.1"),
     }
+
+
+def test_subtree_of_another_graph_is_rejected():
+    # Three vertices each: without the check, the cycle's tree read on
+    # the host's indices would give a wrong corner without complaint.
+    host = DirectedMultigraph(
+        ["x", "y", "z"],
+        [("s", "z", "x"), ("p", "x", "y"), ("q", "y", "z"), ("r", "x", "z")],
+    )
+    cycle = DirectedMultigraph(
+        ["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a")]
+    )
+    for tree in (build_spanning_subtree(cycle, ["a"]),
+                 build_spanning_subtree(edge1(), ["u"])):
+        with pytest.raises(ValueError,
+                           match="subtree belongs to a different graph"):
+            corner_graph(host, tree)
+    own = build_spanning_subtree(host, ["x"])
+    assert [e.name for e in corner_graph(host, own).graph.edges] == [
+        "s@y", "s@z", "q@z",
+    ]
+
+
+def test_subtree_of_an_equal_graph_is_accepted():
+    text = serialize_graph(cyc6())
+    first, second = parse_graph(text), parse_graph(text)
+    assert first is not second and first == second
+    tree = validate_subtree(first, ["e1", "f2"], ["v0"])
+    assert corner_graph(second, tree).graph == corner_graph(first, tree).graph
+
+
+CHAIN_PROBE = """
+import sys, time
+from graphcorners import DirectedMultigraph, build_spanning_subtree, corner_graph
+
+n = int(sys.argv[1])
+vs = ["r", *(f"v{i}" for i in range(n)), "x"]
+edges = [(f"t{i}", a, b) for i, (a, b) in enumerate(zip(vs, vs[1:]))]
+edges += [(f"b{i}", "x", f"v{i}") for i in range(n)]
+g = DirectedMultigraph(vs, edges)
+start = time.perf_counter()
+result = corner_graph(g, build_spanning_subtree(g, ["r"]))
+elapsed = time.perf_counter() - start
+print(len(result.graph.vertices), len(result.graph.edges), elapsed)
+"""
+
+
+def test_corner_of_a_long_chain_is_linear():
+    # r -> v0 -> ... -> v(n-1) -> x with back edges x -> v_i: the corner
+    # keeps x alone, with n loops, each range having a whole chain below
+    # it.  A walk per range takes about 25 s at this size; the subprocess
+    # is stopped well before that.
+    n = 8_000
+    src = str(Path(graphcorners.__file__).resolve().parent.parent)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", CHAIN_PROBE, str(n)],
+            env=os.environ | {"PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=20,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"the corner of a {n}-vertex chain took over 20 s")
+    vertices, edges, elapsed = done.stdout.split()
+    assert (int(vertices), int(edges)) == (1, n)
+    assert float(elapsed) < 1.0
+
+
+def corner_oracle(g, t):
+    """The corner's vertices and ordered (name, source, range) triples,
+    from the definition: a spanned vertex is dropped when it emits edges
+    and all of them are tree edges, and each non-tree edge e with spanned
+    source gives e@u for every kept u below r(e) in the tree, level by
+    level, each level in name order."""
+    below = {v: [] for v in t.tree_vertices}
+    for name in t.tree_edges:
+        e = g.edge(name)
+        below[e.src].append(e.dst)
+    kept = [
+        v for v in g.vertices if v in t.tree_vertices and not (
+            g.out_edges(v)
+            and all(e.name in t.tree_edges for e in g.out_edges(v)))
+    ]
+    keep = set(kept)
+    edges = []
+    for e in g.edges:
+        if e.src not in t.tree_vertices or e.name in t.tree_edges:
+            continue
+        level = [e.dst]
+        while level:
+            edges += [(f"{e.name}@{u}", e.src, u)
+                      for u in sorted(level) if u in keep]
+            level = [w for u in level for w in below[u]]
+    return kept, edges
+
+
+@st.composite
+def rooted_subtrees(draw):
+    """A multigraph on up to 300 vertices with loops and parallel edges,
+    up to six roots, and a subtree spanning their closure grown by a
+    breadth-first, depth-first or random-first search: under the last
+    two a vertex's tree depth may exceed its BFS distance."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 300))
+    vs = [f"v{i}" for i in range(n)]
+    g = DirectedMultigraph(vs, [
+        (f"e{k}", rng.choice(vs), rng.choice(vs))
+        for k in range(rng.randint(n // 2, 3 * n))
+    ])
+    roots = rng.sample(vs, rng.randint(1, min(n, 6)))
+    search = draw(st.sampled_from(["random", "depth", "breadth"]))
+    seen, tree = set(roots), []
+    frontier = [e for v in roots for e in g.out_edges(v)]
+    while frontier:
+        if search == "breadth":
+            e = frontier.pop(0)
+        elif search == "depth":
+            e = frontier.pop()
+        else:
+            e = frontier.pop(rng.randrange(len(frontier)))
+        if e.dst not in seen:
+            seen.add(e.dst)
+            tree.append(e.name)
+            frontier += g.out_edges(e.dst)
+    return g, validate_subtree(g, tree, roots)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rooted_subtrees())
+def test_corner_matches_the_definition_edge_for_edge(gt):
+    g, t = gt
+    kept, edges = corner_oracle(g, t)
+    result = corner_graph(g, t).graph
+    assert list(result.vertices) == kept
+    assert [(e.name, e.src, e.dst) for e in result.edges] == edges
