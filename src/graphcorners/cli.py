@@ -274,6 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "cap", 0) < 0:  # skew and fixed-point, any group
+            raise ValueError("cap must be non-negative")
         return args.func(args)
     except SubtreeValidationError as exc:
         for violation in exc.violations:

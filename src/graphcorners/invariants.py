@@ -18,7 +18,9 @@ from typing import Iterable, Sequence
 
 from .multigraph import (
     DirectedMultigraph,
-    topological_order,
+    GraphFormatError,
+    _kahn,
+    _successors,
 )
 
 # The dense stage of ``invariant_factors`` gives up once one of its entries
@@ -529,10 +531,12 @@ def corner_dimension_vector(
     Counted by dynamic programming in topological order, each distinct
     root seeding its length-0 path; sinks no root reaches are dropped.
     """
-    order = topological_order(g)
+    order = _kahn(_successors(g))
+    if len(order) != len(g.vertices):
+        raise GraphFormatError("graph has a cycle")
     root_set = {g._require_vertex(v) for v in roots}
     ending_at = [0] * len(g.vertices)
-    for v in map(g._index.__getitem__, order):
+    for v in order:
         ending_at[v] = (v in root_set) + sum(
             ending_at[g._src[k]] for k in g._in[v]
         )

@@ -69,7 +69,8 @@ class DirectedMultigraph:
     The public constructor checks every item in one pass (names,
     endpoints, each edge item's shape and label); ``parse_graph``, which
     checks each line as it reads it, and graphs derived from a valid
-    graph build through the trusted ``_from_indices``.
+    graph build through the trusted ``_from_indices``, which checks
+    nothing.  The name indexes are built on first use.
     """
 
     __slots__ = ("vertices", "_index", "_names", "_src", "_dst", "_labels",
@@ -80,49 +81,38 @@ class DirectedMultigraph:
         vertices: Iterable[str],
         edges: Iterable[Edge | tuple | list] = (),
     ) -> None:
-        vertices = tuple(vertices)
-        rows = _check_items(vertices, list(edges))
-        index = dict(zip(vertices, range(len(vertices))))
-        self._fill(vertices, [r[0] for r in rows],
-                   [index[r[1]] for r in rows], [index[r[2]] for r in rows],
-                   [r[3] for r in rows])
+        self.vertices: tuple[str, ...] = tuple(vertices)
+        self._index, rows = _check_items(self.vertices, list(edges))
+        self._names, self._labels = [r[0] for r in rows], [r[3] for r in rows]
+        self._src = [self._index[r[1]] for r in rows]
+        self._dst = [self._index[r[2]] for r in rows]
 
     @classmethod
     def _from_indices(cls, vertices, names, src, dst, labels=None):
         """The trusted constructor: endpoints are vertex indices, and names
-        are not syntax-checked, but a duplicate name is rejected."""
+        are unchecked.  ``parse_graph`` and ``relabelled`` check theirs; the
+        library's own are unique by construction: a skew name ``v@g`` or
+        ``e@g`` splits uniquely at its last '@', since no element encoding
+        holds one, and corner edge names go through ``corner._unclash``."""
         g = cls.__new__(cls)
-        labels = labels or [None] * len(names)
-        g._fill(tuple(vertices), names, src, dst, labels)
+        g.vertices, g._names, g._src, g._dst = tuple(vertices), names, src, dst
+        g._labels = labels or [None] * len(names)
         return g
 
-    def _fill(self, vertices, names, src, dst, labels) -> None:
-        self.vertices: tuple[str, ...] = vertices
-        self._index = dict(zip(vertices, range(len(vertices))))
-        self._edge_index = dict(zip(names, range(len(names))))
-        for kind, items, unique in (("vertex", vertices, self._index),
-                                    ("edge", names, self._edge_index)):
-            if len(unique) != len(items):
-                seen: set[str] = set()
-                for x in items:
-                    if x in seen:
-                        raise GraphFormatError(f"duplicate {kind} name {x!r}")
-                    seen.add(x)
-        self._names, self._src, self._dst, self._labels = (
-            names, src, dst, labels)
-
-    def __getattr__(self, name: str) -> list[list[int]]:
-        # ``_out`` and ``_in`` are each built on first use: a graph that is
-        # only printed needs neither, and a skew product only ``_out``.
-        # They share ``_edge_index``'s ints.
-        if name not in ("_out", "_in"):
+    def __getattr__(self, name: str) -> dict[str, int] | list[list[int]]:
+        # The name indexes and adjacency lists are each built on first use:
+        # a printed graph needs none of them, and a skew product only _out.
+        if name in ("_index", "_edge_index"):
+            items = self.vertices if name == "_index" else self._names
+            value = dict(zip(items, range(len(items))))
+        elif name in ("_out", "_in"):
+            value = [[] for _ in self.vertices]
+            for k, v in enumerate(self._src if name == "_out" else self._dst):
+                value[v].append(k)
+        else:
             raise AttributeError(name)
-        lists: list[list[int]] = [[] for _ in self.vertices]
-        ends = self._src if name == "_out" else self._dst
-        for k, v in zip(self._edge_index.values(), ends):
-            lists[v].append(k)
-        setattr(self, name, lists)
-        return lists
+        setattr(self, name, value)
+        return value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedMultigraph):
@@ -214,13 +204,14 @@ def _is_label(text: object) -> bool:
     return text is None or isinstance(text, str) and text.split() == [text]
 
 
-def _check_items(vertices: Sequence, items: list) -> list[tuple]:
+def _check_items(vertices: Sequence, items: list) -> tuple[dict, list]:
     """Raise for the first bad item: vertices first, then each edge item's
-    shape, name, endpoints and label, in order.  Return the edge rows."""
-    index: dict[str, None] = {}
+    shape, name, endpoints and label, in order.  Return each vertex's
+    index by name, and the edge rows."""
+    index: dict[str, int] = {}
     for v in vertices:
         _check_item(v, "vertex", index)
-        index[v] = None
+        index[v] = len(index)
     taken: set[str] = set()
     rows = list(map(_row, items))
     for e, row in zip(items, rows):
@@ -232,7 +223,7 @@ def _check_items(vertices: Sequence, items: list) -> list[tuple]:
             raise GraphFormatError(
                 f"edge {row[0]!r}: invalid label {row[3]!r}")
         taken.add(row[0])
-    return rows
+    return index, rows
 
 
 def parse_graph(text: str) -> DirectedMultigraph:
@@ -280,8 +271,10 @@ def parse_graph(text: str) -> DirectedMultigraph:
                 )
         except GraphFormatError as exc:
             raise GraphFormatError(f"line {lineno}: {exc}") from None
-    return DirectedMultigraph._from_indices(vertices, list(edges), src,
-                                            dst, labels)
+    g = DirectedMultigraph._from_indices(vertices, list(edges), src, dst,
+                                         labels)
+    g._index = vertices
+    return g
 
 
 def serialize_graph(g: DirectedMultigraph) -> str:
@@ -337,14 +330,6 @@ def _successors(g: DirectedMultigraph) -> list[list[int]]:
 def is_acyclic(g: DirectedMultigraph) -> bool:
     """True iff the graph contains no directed cycle."""
     return len(_kahn(_successors(g))) == len(g.vertices)
-
-
-def topological_order(g: DirectedMultigraph) -> tuple[str, ...]:
-    """Vertices in an order compatible with the edges; g must be acyclic."""
-    order = _kahn(_successors(g))
-    if len(order) != len(g.vertices):
-        raise GraphFormatError("graph has a cycle")
-    return tuple(g.vertices[i] for i in order)
 
 
 def _distances(g: DirectedMultigraph, roots: Iterable[str]) -> dict[int, int]:
@@ -469,11 +454,20 @@ def relabelled(
 ) -> DirectedMultigraph:
     """Rename vertices (and optionally edges), preserving order and labels.
 
-    The new names are taken as given, except that a duplicate is rejected.
+    The new names are taken as given, except that the first repeated name
+    is rejected: unlike the library's own, they are not unique by
+    construction, and the trusted constructor checks nothing.
     """
     emap = edge_map or {}
-    return DirectedMultigraph._from_indices(
+    h = DirectedMultigraph._from_indices(
         [vertex_map[v] for v in g.vertices],
         [emap.get(name, name) for name in g._names],
         g._src, g._dst, g._labels,
     )
+    for kind, items in (("vertex", h.vertices), ("edge", h._names)):
+        seen: set[str] = set()
+        for x in items:
+            if x in seen:
+                raise GraphFormatError(f"duplicate {kind} name {x!r}")
+            seen.add(x)
+    return h

@@ -157,6 +157,14 @@ def test_fixed_point_finite_group_ignores_cap(files, capsys):
     assert outputs[0][0] == 0 and outputs[0][1]
 
 
+@pytest.mark.parametrize("command", ["skew", "fixed-point"])
+@pytest.mark.parametrize("group", ["z3", "z"])
+def test_negative_cap_is_rejected(files, capsys, command, group):
+    path = files("balanced.graph", BALANCED)
+    assert run(capsys, [command, path, "--group", group, "--cap", "-5"]) == (
+        2, "", "cap must be non-negative\n")
+
+
 def test_corner_name_clash_gets_a_suffix(files, capsys):
     # Both non-tree edges a: r -> b@c and a@b: r -> c would name their
     # corner edge a@b@c; the later one takes the suffix .1.

@@ -2,20 +2,29 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcorners import (
+    CapExceededError,
     DirectedMultigraph,
     Edge,
     GraphFormatError,
+    GroupSpec,
+    Labelling,
     Path,
+    build_spanning_subtree,
+    corner_graph,
+    fixed_point_pipeline,
     hereditary_closure,
     is_acyclic,
     is_hereditary,
     parse_graph,
     path_range,
+    reachable_skew,
     relabelled,
     saturate,
     serialize_graph,
+    skew_product,
     to_dot,
 )
 from graphcorners.iso import are_isomorphic
@@ -413,3 +422,110 @@ class TestExport:
                 relabelled(DirectedMultigraph(["a", "b"]),
                            {"a": name, "b": name})
             assert str(caught.value) == f"duplicate vertex name {name!r}"
+        loops = DirectedMultigraph(["a"], [("e", "a", "a"), ("f", "a", "a")])
+        for name in ("x", "x y"):
+            with pytest.raises(GraphFormatError) as caught:
+                relabelled(loops, {"a": "a"}, {"e": name, "f": name})
+            assert str(caught.value) == f"duplicate edge name {name!r}"
+        # The first repeat is named, also against a name kept as it was.
+        with pytest.raises(GraphFormatError,
+                           match="^duplicate vertex name 'y'$"):
+            relabelled(DirectedMultigraph(["a", "b", "c", "d"]),
+                       {"a": "x", "b": "y", "c": "y", "d": "x"})
+        with pytest.raises(GraphFormatError,
+                           match="^duplicate edge name 'e'$"):
+            relabelled(loops, {"a": "a"}, {"f": "e"})
+
+
+def _slot_is_set(g: DirectedMultigraph, slot: str) -> bool:
+    """Whether a slot holds a value, read without ``__getattr__``, which
+    would build it."""
+    try:
+        DirectedMultigraph.__dict__[slot].__get__(g)
+    except AttributeError:
+        return False
+    return True
+
+
+class TestNameIndexes:
+    def test_derived_graphs_build_no_name_index(self):
+        host = parse_graph("vertex a\nvertex b\nedge e a b 1\nedge f b a 2\n"
+                           "edge g a a 1\nedge h b b\n")
+        c = Labelling.from_graph(host, GroupSpec.parse("z3"))
+        result = fixed_point_pipeline(host, c)
+        tree = build_spanning_subtree(host, ["a"])
+        graphs = [corner_graph(host, tree).graph, reachable_skew(host, c),
+                  skew_product(host, c), result.corner.graph]
+        for g in graphs:
+            assert not _slot_is_set(g, "_index")
+            assert not _slot_is_set(g, "_edge_index")
+        # The pipeline's subtree is rooted by name, so only the skew's
+        # vertex index is built.
+        assert not _slot_is_set(result.skew, "_edge_index")
+        for g in graphs + [result.skew]:
+            assert all(map(g.has_vertex, g.vertices))
+            assert not g.has_vertex("nope")
+            assert [g.edge(e.name) for e in g.edges] == list(g.edges)
+            assert all(g.has_edge(e.name) for e in g.edges)
+            assert not g.has_edge("nope")
+            with pytest.raises(GraphFormatError, match="unknown edge"):
+                g.edge("nope")
+            assert _slot_is_set(g, "_index") and _slot_is_set(g, "_edge_index")
+
+    def test_checked_constructors_hand_over_their_vertex_index(self):
+        text = "vertex b\nvertex a\nvertex c\nedge e a b\n"
+        for g in (parse_graph(text), DirectedMultigraph(
+                ["b", "a", "c"], [("e", "a", "b")])):
+            assert _slot_is_set(g, "_index")
+            assert g._index == {"b": 0, "a": 1, "c": 2}
+
+
+# Names that hold '@', some shaped like derived names (the host vertex
+# a@0@1 looks like a skew vertex of a@0), and an edge pair whose corner
+# names meet: e@a@b is made both from the edge e, ranging over a@b, and
+# from the edge e@a, ranging over b.
+AT_VERTICES = ["a", "b", "a@b", "0@a", "a@0@1"]
+AT_EDGES = ["e", "e@a", "e@0", "e@1@a", "f"]
+
+
+@st.composite
+def hosts_named_with_at(draw):
+    """A multigraph with loops and parallel edges, at least as many edges
+    as vertices, whose names come from the pools above; two label
+    coordinates per edge; and a root set."""
+    vs = draw(st.lists(st.sampled_from(AT_VERTICES), min_size=1,
+                       unique=True))
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(AT_EDGES), st.sampled_from(vs),
+                  st.sampled_from(vs)),
+        min_size=len(vs), unique_by=lambda e: e[0]))
+    coords = {e[0]: draw(st.tuples(st.integers(-2, 2), st.integers(0, 1)))
+              for e in edges}
+    roots = draw(st.lists(st.sampled_from(vs), min_size=1, unique=True))
+    return DirectedMultigraph(vs, edges), coords, roots
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hosts_named_with_at())
+def test_derived_names_stay_unique_on_hosts_named_with_at(drawn):
+    host, coords, roots = drawn
+    z3, z2z3, z = (
+        Labelling.from_map(host, GroupSpec.parse(spec),
+                           {k: pick(a, b) for k, (a, b) in coords.items()})
+        for spec, pick in (("z3", lambda a, b: a),
+                           ("z2,z3", lambda a, b: (b, a)),
+                           ("z", lambda a, b: a)))
+    derived = [skew_product(host, z3), skew_product(host, z2z3),
+               corner_graph(host, build_spanning_subtree(host, roots)).graph]
+    for c in (z3, z2z3, z):
+        try:
+            result = fixed_point_pipeline(host, c, cap=64)
+        except CapExceededError:
+            continue
+        derived += [reachable_skew(host, c, cap=64), result.skew,
+                    result.corner.graph]
+    for g in derived:
+        names = [e.name for e in g.edges]
+        assert len(set(g.vertices)) == len(g.vertices)
+        assert len(set(names)) == len(names)
+        assert parse_graph(serialize_graph(g)) == g
