@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path as FilePath
 
 from .corner import corner_graph
 from .invariants import (
@@ -37,7 +36,6 @@ from .multigraph import (
     GraphFormatError,
     hereditary_closure,
     parse_graph,
-    relabelled,
     serialize_graph,
     to_dot,
 )
@@ -60,7 +58,8 @@ identity.
 
 
 def _load(path: str) -> DirectedMultigraph:
-    return parse_graph(FilePath(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as f:
+        return parse_graph(f.read())
 
 
 def _namelist(text: str) -> list[str]:
@@ -69,9 +68,12 @@ def _namelist(text: str) -> list[str]:
 
 def _emit_graph(g: DirectedMultigraph, args: argparse.Namespace) -> None:
     if getattr(args, "relabel", False):
-        vmap = {v: f"v{i}" for i, v in enumerate(g.vertices)}
-        emap = {name: f"e{k}" for k, name in enumerate(g._names)}
-        g = relabelled(g, vmap, emap)
+        # Positional names, unique by construction: no name is looked up.
+        g = DirectedMultigraph._from_indices(
+            [f"v{i}" for i in range(len(g.vertices))],
+            [f"e{k}" for k in range(len(g._names))],
+            g._src, g._dst, g._labels,
+        )
     if getattr(args, "dot", False):
         sys.stdout.write(to_dot(g))
     else:

@@ -9,25 +9,25 @@ of the host graph algebra by the sum of the root projections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .multigraph import DirectedMultigraph
 from .subtree import DirectedSubtree, descendants
 
 
-@dataclass(frozen=True)
-class CornerGraph:
+class CornerGraph(NamedTuple("CornerGraph", [
+    ("graph", DirectedMultigraph), ("host", DirectedMultigraph),
+    ("origin", list[int]),
+])):
     """The corner graph plus the provenance of each of its edges.
 
     Corner edge i came from the host edge with index ``origin[i]``.
     ``provenance`` maps each corner edge name back to the pair (host edge
-    e, target vertex u) it came from; it is built on first use.
+    e, target vertex u) it came from; it is built on first use and kept in
+    the instance ``__dict__``, which this subclass has for want of
+    ``__slots__``.
     """
-
-    graph: DirectedMultigraph
-    host: DirectedMultigraph
-    origin: list[int]
 
     @cached_property
     def provenance(self) -> dict[str, tuple[str, str]]:

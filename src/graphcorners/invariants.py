@@ -12,9 +12,8 @@ rather than run on with entries longer than ``BIT_BUDGET`` bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .multigraph import (
     DirectedMultigraph,
@@ -44,19 +43,23 @@ class BitBudgetExceededError(RuntimeError):
         self.bits = bits
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-    row_labels: tuple[str, ...] = ()
-    col_labels: tuple[str, ...] = ()
+class IntegerMatrix(NamedTuple("IntegerMatrix", [
+    ("rows", int), ("cols", int), ("entries", tuple[tuple[int, ...], ...]),
+    ("row_labels", tuple[str, ...]), ("col_labels", tuple[str, ...]),
+])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
+    def __new__(cls, rows, cols, entries, row_labels=(), col_labels=()):
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        if any(len(r) != self.cols for r in self.entries):
+        if any(len(r) != cols for r in entries):
             raise ValueError("column count mismatch")
+        return super().__new__(cls, rows, cols, entries, row_labels,
+                               col_labels)
+
+    @classmethod
+    def _make(cls, iterable) -> "IntegerMatrix":  # _replace builds through it
+        return cls(*iterable)
 
     @classmethod
     def from_rows(
@@ -93,8 +96,7 @@ class IntegerMatrix:
         )
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U @ M @ V == diagonal, with U, V unimodular.
 
     ``factors`` are the positive diagonal entries d1 | d2 | ... and
@@ -470,8 +472,7 @@ def vertex_matrix(g: DirectedMultigraph) -> IntegerMatrix:
     return IntegerMatrix.from_rows(rows, g.vertices, g.vertices)
 
 
-@dataclass(frozen=True)
-class KTheoryResult:
+class KTheoryResult(NamedTuple):
     """K0 = Z^free_rank (+) sum of Z/d over the invariant factors; K1 = Z^k1_rank."""
 
     k0_free_rank: int

@@ -8,13 +8,12 @@ sizes this library works with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .multigraph import DirectedMultigraph
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(NamedTuple):
     isomorphic: bool
     witness: dict[str, str] | None = None
 

@@ -13,9 +13,8 @@ the skew states (v, g): from every state, or from the identity fibre.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .corner import CornerGraph, corner_graph
 from .multigraph import (
@@ -40,17 +39,21 @@ class CapExceededError(RuntimeError):
     """The reachable part of a skew product grew past the vertex cap."""
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple("GroupSpec", [("moduli", tuple[int, ...])])):
     """A direct product of cyclic groups; modulus 0 marks an infinite factor."""
 
-    moduli: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.moduli:
+    def __new__(cls, moduli: tuple[int, ...]) -> "GroupSpec":
+        if not moduli:
             raise ValueError("group needs at least one factor")
-        if any(m < 0 for m in self.moduli):
+        if any(m < 0 for m in moduli):
             raise ValueError("factor moduli must be 0 (infinite) or >= 1")
+        return super().__new__(cls, moduli)
+
+    @classmethod
+    def _make(cls, iterable) -> "GroupSpec":  # _replace builds through it
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, text: str) -> "GroupSpec":
@@ -118,8 +121,7 @@ class GroupSpec:
         return ".".join(str(c) for c in a)
 
 
-@dataclass(frozen=True)
-class Labelling:
+class Labelling(NamedTuple):
     """A total assignment of a group element to every edge of a host graph."""
 
     host: DirectedMultigraph
@@ -308,8 +310,7 @@ def _explore(
     )
 
 
-@dataclass(frozen=True)
-class KirchhoffResult:
+class KirchhoffResult(NamedTuple):
     """Outcome of the voltage-law check, with a certificate on failure.
 
     On FAIL, following ``prefix`` from the identity state at ``start`` and
@@ -480,8 +481,7 @@ def _tree_walk(par, ends, v, base):
     return walk
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     """The three stages of the fixed-point pipeline."""
 
     skew: DirectedMultigraph

@@ -18,8 +18,7 @@ errors and the public API.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z0-9_@.-]+")
 
@@ -28,23 +27,44 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph files or inconsistent graph data."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     name: str
     src: str
     dst: str
     label: str | None = None
 
 
-@dataclass(frozen=True)
 class Path:
     """A finite path: a start vertex plus a sequence of edge names.
 
-    The empty edge sequence is the length-0 path at ``start``.
+    The empty edge sequence is the length-0 path at ``start``.  A path is
+    not a tuple: its length is its edge count.
     """
 
-    start: str
-    edges: tuple[str, ...] = ()
+    __slots__ = ("start", "edges")
+
+    def __init__(self, start: str, edges: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot change field {name!r} of a Path")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.edges) == (other.start, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Path(start={self.start!r}, edges={self.edges!r})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle go through __init__
+        return Path, (self.start, self.edges)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -93,7 +113,8 @@ class DirectedMultigraph:
         are unchecked.  ``parse_graph`` and ``relabelled`` check theirs; the
         library's own are unique by construction: a skew name ``v@g`` or
         ``e@g`` splits uniquely at its last '@', since no element encoding
-        holds one, and corner edge names go through ``corner._unclash``."""
+        holds one, corner edge names go through ``corner._unclash``, and
+        the CLI's ``--relabel`` names ``v{i}``/``e{k}`` are positional."""
         g = cls.__new__(cls)
         g.vertices, g._names, g._src, g._dst = tuple(vertices), names, src, dst
         g._labels = labels or [None] * len(names)
@@ -190,10 +211,8 @@ def _check_item(
 
 
 def _row(e: object) -> tuple | None:
-    """An edge item as (name, src, dst, label); None if it is neither an
-    ``Edge`` nor a tuple or list of 3 or 4 items."""
-    if isinstance(e, Edge):
-        return e.name, e.src, e.dst, e.label
+    """An edge item as (name, src, dst, label); None if it is not a tuple
+    (an ``Edge`` is one) or list of 3 or 4 items."""
     if isinstance(e, (tuple, list)) and 3 <= len(e) <= 4:
         return tuple(e) if len(e) == 4 else (*e, None)
     return None

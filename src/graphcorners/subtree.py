@@ -8,9 +8,8 @@ corner construction requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .multigraph import (
     DirectedMultigraph,
@@ -30,20 +29,20 @@ class SubtreeValidationError(ValueError):
         super().__init__("; ".join(violations))
 
 
-@dataclass(frozen=True)
-class DirectedSubtree:
+class DirectedSubtree(NamedTuple("DirectedSubtree", [
+    ("host", DirectedMultigraph), ("parent_edge", list[int]),
+    ("spanned_indices", list[int]),
+])):
     """A validated subtree, held on host indices: ``parent_edge[v]`` is the
     tree edge entering vertex v (-1 for roots and unspanned vertices), and
     ``spanned_indices`` is sorted; the roots are the spanned vertices with
     no tree edge.  The name views ``tree_edges``, ``tree_vertices``,
     ``roots`` and ``parent`` (non-root spanned vertex -> its tree edge) are
-    built on first use.  Instances come from :func:`validate_subtree` or
-    :func:`build_spanning_subtree` and always satisfy the invariants.
+    built on first use and kept in the instance ``__dict__``, which this
+    subclass has for want of ``__slots__``.  Instances come from
+    :func:`validate_subtree` or :func:`build_spanning_subtree` and always
+    satisfy the invariants.
     """
-
-    host: DirectedMultigraph
-    parent_edge: list[int]
-    spanned_indices: list[int]
 
     @cached_property
     def tree_edges(self) -> frozenset[str]:

@@ -360,8 +360,16 @@ def test_repeated_main_calls_match_single_calls(files, capsys):
 
 
 def test_missing_file_exit_2(capsys):
-    code, _, err = run(capsys, ["kth", "/nonexistent/file.graph"])
-    assert code == 2
+    code, out, err = run(capsys, ["kth", "/nonexistent/file.graph"])
+    assert (code, out) == (2, "")
+    assert err == ("[Errno 2] No such file or directory: "
+                   "'/nonexistent/file.graph'\n")
+
+
+def test_directory_as_graph_file_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, ["kth", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err == f"[Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 def test_outputs_reparse(files, capsys):
@@ -394,7 +402,9 @@ def test_cli_import_loads_only_the_package_and_its_stdlib_imports():
     # package's own modules and nothing else.  So a third-party import or
     # a function-level stdlib import run at import time would show, and
     # heapq, imported where it is used, must stay unloaded.  ``-S`` keeps
-    # site's start-up imports out of the picture.
+    # site's start-up imports out of the picture.  Nor may the package
+    # load dataclasses (which brings inspect, ast and dis) or pathlib: for
+    # a small graph they would cost more than the command's work.
     package = Path(graphcorners.__file__).resolve().parent
     stdlib = set()
     for source in package.glob("*.py"):
@@ -414,4 +424,5 @@ def test_cli_import_loads_only_the_package_and_its_stdlib_imports():
     assert "graphcorners.cli" in added
     assert [name for name in added if name.split(".")[0] != "graphcorners"
             ] == []
-    assert {"heapq", "sympy", "networkx"}.isdisjoint(everything)
+    assert {"heapq", "sympy", "networkx", "dataclasses", "inspect",
+            "pathlib"}.isdisjoint(everything)
