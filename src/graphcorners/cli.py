@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .corner import corner_graph
@@ -34,10 +35,11 @@ from .labelling import (
 from .multigraph import (
     DirectedMultigraph,
     GraphFormatError,
+    _dot_blocks,
+    _graph_blocks,
     hereditary_closure,
     parse_graph,
-    serialize_graph,
-    to_dot,
+    serialize_graph,  # noqa: F401  (bench/tracing.py wraps it here)
 )
 from .subtree import (
     SubtreeValidationError,
@@ -74,10 +76,11 @@ def _emit_graph(g: DirectedMultigraph, args: argparse.Namespace) -> None:
             [f"e{k}" for k in range(len(g._names))],
             g._src, g._dst, g._labels,
         )
-    if getattr(args, "dot", False):
-        sys.stdout.write(to_dot(g))
-    else:
-        sys.stdout.write(serialize_graph(g))
+    # Written block by block as it is formatted, so the text is never
+    # whole; flushed here, so that a closed pipe is seen inside main.
+    blocks = _dot_blocks if getattr(args, "dot", False) else _graph_blocks
+    sys.stdout.writelines(blocks(g))
+    sys.stdout.flush()
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
@@ -286,6 +289,14 @@ def main(argv: list[str] | None = None) -> int:
     except (CapExceededError, BitBudgetExceededError) as exc:
         print(exc, file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``), which is no error.
+        # Point fd 1 at the null device, so that the interpreter's last
+        # flush of what is still buffered does not fail on exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (GraphFormatError, ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -499,8 +499,9 @@ def fixed_point_pipeline(
     algebra fixed by the coaction the labelling induces.
     """
     skew = reachable_skew(host, c, cap)
-    roots = skew.vertices[: len(host.vertices)]
-    tree = build_spanning_subtree(skew, roots)
+    # The identity fibre: the skew's first vertices, one per host vertex.
+    tree = build_spanning_subtree(skew, range(len(host.vertices)),
+                                  indices=True)
     return FixedPointResult(skew, tree, corner_graph(skew, tree))
 
 

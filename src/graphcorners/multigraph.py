@@ -18,7 +18,8 @@ errors and the public API.
 from __future__ import annotations
 
 import re
-from typing import Container, Iterable, NamedTuple, Sequence
+from itertools import chain, islice
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z0-9_@.-]+")
 
@@ -296,31 +297,48 @@ def parse_graph(text: str) -> DirectedMultigraph:
     return g
 
 
+# Lines per block of formatted output: a block is one write, and no
+# output is held whole while it is written.
+_BLOCK_LINES = 1024
+
+
+def _in_blocks(lines: Iterator[str]) -> Iterator[str]:
+    """Newline-ended lines, joined in blocks of ``_BLOCK_LINES``."""
+    while block := "".join(islice(lines, _BLOCK_LINES)):
+        yield block
+
+
+def _graph_blocks(g: DirectedMultigraph) -> Iterator[str]:
+    """The graph file format of g, in blocks."""
+    vs = g.vertices
+    return _in_blocks(chain(
+        (f"vertex {v}\n" for v in vs),
+        (f"edge {name} {vs[s]} {vs[d]}\n" if label is None
+         else f"edge {name} {vs[s]} {vs[d]} {label}\n"
+         for name, s, d, label in zip(g._names, g._src, g._dst, g._labels)),
+    ))
+
+
+def _dot_blocks(g: DirectedMultigraph) -> Iterator[str]:
+    """The DOT export of g, in blocks."""
+    vs, names, src, dst = g.vertices, g._names, g._src, g._dst
+    return _in_blocks(chain(
+        ["digraph G {\n"],
+        (f'  "{v}";\n' for v in sorted(vs)),
+        (f'  "{vs[src[k]]}" -> "{vs[dst[k]]}" [label="{names[k]}"];\n'
+         for k in sorted(range(len(names)), key=names.__getitem__)),
+        ["}\n"],
+    ))
+
+
 def serialize_graph(g: DirectedMultigraph) -> str:
     """Emit the graph file format; parse(serialize(g)) == g."""
-    vs = g.vertices
-    lines = [f"vertex {v}" for v in vs]
-    lines += [
-        f"edge {name} {vs[s]} {vs[d]}" if label is None
-        else f"edge {name} {vs[s]} {vs[d]} {label}"
-        for name, s, d, label in zip(g._names, g._src, g._dst, g._labels)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(_graph_blocks(g))
 
 
 def to_dot(g: DirectedMultigraph) -> str:
     """DOT export, one arrow per parallel edge, sorted for stable diffs."""
-    vs = g.vertices
-    lines = ["digraph G {"]
-    for v in sorted(vs):
-        lines.append(f'  "{v}";')
-    for k in sorted(range(len(g._names)), key=g._names.__getitem__):
-        lines.append(
-            f'  "{vs[g._src[k]]}" -> "{vs[g._dst[k]]}" '
-            f'[label="{g._names[k]}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_blocks(g))
 
 
 def _kahn(successors: list[list[int]]) -> list[int]:
@@ -351,10 +369,10 @@ def is_acyclic(g: DirectedMultigraph) -> bool:
     return len(_kahn(_successors(g))) == len(g.vertices)
 
 
-def _distances(g: DirectedMultigraph, roots: Iterable[str]) -> dict[int, int]:
-    """Shortest path length from the root set to each reachable vertex
+def _distances(g: DirectedMultigraph, roots: Iterable[int]) -> dict[int, int]:
+    """Shortest path length from the root indices to each reachable vertex
     index, in breadth-first discovery order."""
-    dist = {g._require_vertex(v): 0 for v in roots}
+    dist = dict.fromkeys(roots, 0)
     queue = list(dist)
     for v in queue:
         d = dist[v] + 1
@@ -370,7 +388,8 @@ def bfs_distances(
     g: DirectedMultigraph, roots: Iterable[str]
 ) -> dict[str, int]:
     """Shortest path length from the root set to each reachable vertex."""
-    return {g.vertices[i]: d for i, d in _distances(g, roots).items()}
+    dist = _distances(g, map(g._require_vertex, roots))
+    return {g.vertices[i]: d for i, d in dist.items()}
 
 
 def _strongly_connected_components(g: DirectedMultigraph) -> list[set[int]]:
@@ -473,9 +492,9 @@ def relabelled(
 ) -> DirectedMultigraph:
     """Rename vertices (and optionally edges), preserving order and labels.
 
-    The new names are taken as given, except that the first repeated name
-    is rejected: unlike the library's own, they are not unique by
-    construction, and the trusted constructor checks nothing.
+    The new names come from outside, so each is checked as the public
+    constructor checks it, and the first malformed or repeated name is
+    rejected: the trusted constructor checks nothing.
     """
     emap = edge_map or {}
     h = DirectedMultigraph._from_indices(
@@ -484,9 +503,8 @@ def relabelled(
         g._src, g._dst, g._labels,
     )
     for kind, items in (("vertex", h.vertices), ("edge", h._names)):
-        seen: set[str] = set()
+        taken: set[str] = set()
         for x in items:
-            if x in seen:
-                raise GraphFormatError(f"duplicate {kind} name {x!r}")
-            seen.add(x)
+            _check_item(x, kind, taken)
+            taken.add(x)
     return h

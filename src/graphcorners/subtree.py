@@ -95,7 +95,8 @@ def validate_subtree(
     edges = list(map(host._edge_index.get, given))
     if None in edges:
         raise GraphFormatError(f"unknown edge {given[edges.index(None)]!r}")
-    closure = _distances(host, roots)  # the roots are at distance 0
+    # The roots are at distance 0.
+    closure = _distances(host, map(host._require_vertex, roots))
     violations: list[str] = []
 
     incoming: dict[int, list[str]] = {}
@@ -186,19 +187,21 @@ def descendants(
 
 
 def build_spanning_subtree(
-    host: DirectedMultigraph, roots: Iterable[str]
+    host: DirectedMultigraph, roots: Iterable[str] | Iterable[int],
+    indices: bool = False,
 ) -> DirectedSubtree:
     """BFS spanning subtree of the hereditary closure of the root set.
 
     Each non-root vertex at distance n gets one incoming edge from a
     vertex at distance n-1, choosing the lexicographically smallest
     qualifying edge name, so the result is reproducible.  The result
-    satisfies the subtree invariants by construction.
+    satisfies the subtree invariants by construction.  With ``indices``,
+    the roots are host vertex indices, and no name is looked up.
     """
-    root_list = list(dict.fromkeys(roots))
-    if not root_list:
+    dist = _distances(
+        host, roots if indices else map(host._require_vertex, roots))
+    if not dist:
         raise GraphFormatError("root set must be non-empty")
-    dist = _distances(host, root_list)
     depth = [-2] * len(host.vertices)  # -2 + 1 is no vertex's depth
     for v, d in dist.items():
         depth[v] = d

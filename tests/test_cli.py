@@ -1,16 +1,29 @@
+import argparse
 import ast
 import os
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import graphcorners
-from graphcorners import invariants, parse_graph, serialize_graph
-from graphcorners.cli import main
+from graphcorners import (
+    GroupSpec,
+    Labelling,
+    build_spanning_subtree,
+    corner_graph,
+    fixed_point_pipeline,
+    invariants,
+    parse_graph,
+    relabelled,
+    serialize_graph,
+    to_dot,
+)
+from graphcorners.cli import _emit_graph, main
 
 from sample_graphs import cyc6, edge1, pqr, rose2, single_loop
 
@@ -383,6 +396,127 @@ def test_outputs_reparse(files, capsys):
         code, out, _ = run(capsys, argv)
         assert code == 0
         parse_graph(out)
+
+
+def big_dag_text(n: int = 1200, window: int = 40) -> str:
+    """A random DAG labelled in z5 whose corner at v0 and fixed-point
+    graph over z5 each print to more than 1 MB."""
+    rng = random.Random(0)
+    lines = [f"vertex v{i}" for i in range(n)]
+    for i in range(n - 1):
+        if i and rng.random() < 0.05:
+            continue
+        for _ in range(3):
+            j = rng.randint(i + 1, min(n - 1, i + window))
+            label = rng.randrange(5)
+            lines.append(f"edge e{len(lines) - n} v{i} v{j} {label}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def big_dag(tmp_path_factory):
+    path = tmp_path_factory.mktemp("big") / "dag.graph"
+    path.write_text(big_dag_text(), encoding="utf-8")
+    return str(path)
+
+
+class WriteLog:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def writelines(self, texts) -> None:
+        for text in texts:
+            self.write(text)
+
+    def flush(self) -> None:
+        pass
+
+
+# No write of a graph may be longer than this: the text goes out in
+# blocks as it is formatted, never whole.
+WRITE_BOUND = 250_000
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("corner", []), ("corner", ["--dot"]), ("corner", ["--relabel"]),
+    ("fixed-point", []), ("fixed-point", ["--dot", "--relabel"]),
+])
+def test_graph_output_is_written_in_blocks(big_dag, monkeypatch, command,
+                                           flags):
+    host = parse_graph(Path(big_dag).read_text(encoding="utf-8"))
+    if command == "corner":
+        argv = ["corner", big_dag, "--roots", "v0"]
+        g = corner_graph(host, build_spanning_subtree(host, ["v0"])).graph
+    else:
+        argv = ["fixed-point", big_dag, "--group", "z5"]
+        c = Labelling.from_graph(host, GroupSpec.parse("z5"))
+        g = fixed_point_pipeline(host, c).corner.graph
+    if "--relabel" in flags:
+        g = relabelled(g, {v: f"v{i}" for i, v in enumerate(g.vertices)},
+                       {e.name: f"e{k}" for k, e in enumerate(g.edges)})
+    expected = to_dot(g) if "--dot" in flags else serialize_graph(g)
+    log = WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert main(argv + flags) == 0
+    assert len(expected) > 4 * WRITE_BOUND
+    assert len(log.writes) > 1
+    assert max(map(len, log.writes)) <= WRITE_BOUND
+    assert "".join(log.writes) == expected
+
+
+def test_graph_output_peak_memory_is_under_half_its_length(big_dag,
+                                                           monkeypatch):
+    # Formatting holds one block at a time: not the list of lines, nor
+    # the joined text, each of which is as long as the output or longer.
+    host = parse_graph(Path(big_dag).read_text(encoding="utf-8"))
+    g = corner_graph(host, build_spanning_subtree(host, ["v0"])).graph
+    length = len(serialize_graph(g))
+    args = argparse.Namespace(dot=False, relabel=False)
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            _emit_graph(g, args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < length / 2
+
+
+def _run_cli(argv, **kwargs):
+    return subprocess.Popen(
+        [sys.executable, "-m", "graphcorners.cli", *argv],
+        env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
+        **kwargs,
+    )
+
+
+def test_closed_stdout_exits_quietly(big_dag):
+    # The output is far larger than a pipe's buffer, so the reader closes
+    # the pipe while the command is still writing, as ``| head -n 1``.
+    proc = _run_cli(["corner", big_dag, "--roots", "v0"],
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"vertex ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this system")
+def test_full_stdout_exits_2(big_dag):
+    with open("/dev/full", "w") as full:
+        proc = _run_cli(["corner", big_dag, "--roots", "v0"],
+                        stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (
+        2, b"[Errno 28] No space left on device\n")
 
 
 IMPORT_PROBE = """

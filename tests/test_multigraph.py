@@ -415,18 +415,33 @@ class TestExport:
         h = relabelled(g, vmap)
         assert are_isomorphic(g, h).isomorphic
         assert [e.name for e in h.edges] == [e.name for e in g.edges]
-        # New names are taken as given: a repeat is the one fault named,
-        # even when the repeated name is outside the file format.
-        for name in ("x", "x y"):
-            with pytest.raises(GraphFormatError) as caught:
-                relabelled(DirectedMultigraph(["a", "b"]),
-                           {"a": name, "b": name})
-            assert str(caught.value) == f"duplicate vertex name {name!r}"
+        # New names are checked as the public constructor checks them, and
+        # the first malformed or repeated name is the one fault named.
+        with pytest.raises(GraphFormatError) as caught:
+            relabelled(DirectedMultigraph(["a", "b"]), {"a": "x", "b": "x"})
+        assert str(caught.value) == "duplicate vertex name 'x'"
         loops = DirectedMultigraph(["a"], [("e", "a", "a"), ("f", "a", "a")])
-        for name in ("x", "x y"):
+        with pytest.raises(GraphFormatError) as caught:
+            relabelled(loops, {"a": "a"}, {"e": "x", "f": "x"})
+        assert str(caught.value) == "duplicate edge name 'x'"
+        # Names the file format cannot hold are refused, so a relabelled
+        # graph always prints as a file that parses and as valid DOT.
+        ab = DirectedMultigraph(["a", "b"], [("e", "a", "b")])
+        for vmap, emap, fault in [
+            ({"a": "x y", "b": ""}, {"e": 'q"r'}, "invalid vertex name 'x y'"),
+            ({"a": "a", "b": ""}, {"e": 'q"r'}, "invalid vertex name ''"),
+            ({"a": "a", "b": "b"}, {"e": 'q"r'}, "invalid edge name 'q\"r'"),
+            ({"a": "a", "b": 1}, None, "invalid vertex name 1"),
+            ({"a": "a", "b": "b"}, {"e": ("e",)},
+             "invalid edge name ('e',)"),
+        ]:
             with pytest.raises(GraphFormatError) as caught:
-                relabelled(loops, {"a": "a"}, {"e": name, "f": name})
-            assert str(caught.value) == f"duplicate edge name {name!r}"
+                relabelled(ab, vmap, emap)
+            assert str(caught.value) == fault
+        with pytest.raises(GraphFormatError,
+                           match="^invalid vertex name 'x y'$"):
+            relabelled(DirectedMultigraph(["a", "b", "c"]),
+                       {"a": "x", "b": "x y", "c": "x"})
         # The first repeat is named, also against a name kept as it was.
         with pytest.raises(GraphFormatError,
                            match="^duplicate vertex name 'y'$"):
@@ -456,12 +471,9 @@ class TestNameIndexes:
         tree = build_spanning_subtree(host, ["a"])
         graphs = [corner_graph(host, tree).graph, reachable_skew(host, c),
                   skew_product(host, c), result.corner.graph]
-        for g in graphs:
+        for g in graphs + [result.skew]:
             assert not _slot_is_set(g, "_index")
             assert not _slot_is_set(g, "_edge_index")
-        # The pipeline's subtree is rooted by name, so only the skew's
-        # vertex index is built.
-        assert not _slot_is_set(result.skew, "_edge_index")
         for g in graphs + [result.skew]:
             assert all(map(g.has_vertex, g.vertices))
             assert not g.has_vertex("nope")

@@ -244,6 +244,8 @@ class TestBuild:
     def test_empty_roots_rejected(self):
         with pytest.raises(GraphFormatError, match="non-empty"):
             build_spanning_subtree(cyc6(), [])
+        with pytest.raises(GraphFormatError, match="non-empty"):
+            build_spanning_subtree(cyc6(), range(0), indices=True)
 
     def test_unknown_root_rejected(self):
         with pytest.raises(GraphFormatError):
@@ -259,6 +261,10 @@ class TestBuild:
             t1 = build_spanning_subtree(g, roots)
             t2 = build_spanning_subtree(g, roots)
             assert t1 == t2
+            # Rooted by index, the same tree.
+            index = {v: i for i, v in enumerate(g.vertices)}
+            assert build_spanning_subtree(
+                g, [index[v] for v in roots], indices=True) == t1
             closure = hereditary_closure(g, roots)
             assert len(t1.tree_edges) == len(closure) - len(set(roots))
             dist = bfs_distances(g, roots)
