@@ -11,6 +11,7 @@ import argparse
 import functools
 import os
 import sys
+from typing import Iterator, Sequence
 
 from .corner import corner_graph
 from .invariants import (
@@ -68,12 +69,33 @@ def _namelist(text: str) -> list[str]:
     return [tok for tok in text.split(",") if tok]
 
 
+class _Positional(Sequence):
+    """The names prefix0, prefix1, ..., formatted when read."""
+
+    __slots__ = ("_format", "_len")
+
+    def __init__(self, prefix: str, n: int) -> None:
+        self._format, self._len = f"{prefix}%d".__mod__, n
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self._format, range(self._len))
+
+    def __getitem__(self, i):
+        i = range(self._len)[i]
+        if isinstance(i, range):
+            return list(map(self._format, i))
+        return self._format(i)
+
+
 def _emit_graph(g: DirectedMultigraph, args: argparse.Namespace) -> None:
     if getattr(args, "relabel", False):
-        # Positional names, unique by construction: no name is looked up.
+        # Positional names, unique by construction and formatted as they
+        # are written: no name is looked up or held.
         g = DirectedMultigraph._from_indices(
-            [f"v{i}" for i in range(len(g.vertices))],
-            [f"e{k}" for k in range(len(g._names))],
+            _Positional("v", len(g.vertices)), _Positional("e", len(g._names)),
             g._src, g._dst, g._labels,
         )
     # Written block by block as it is formatted, so the text is never

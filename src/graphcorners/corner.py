@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .multigraph import DirectedMultigraph
+from .multigraph import DirectedMultigraph, _Names
 from .subtree import DirectedSubtree, descendants
 
 
@@ -32,8 +32,9 @@ class CornerGraph(NamedTuple("CornerGraph", [
     @cached_property
     def provenance(self) -> dict[str, tuple[str, str]]:
         g, host_names = self.graph, self.host._names
+        vs = list(g.vertices)
         return {
-            name: (host_names[k], g.vertices[u])
+            name: (host_names[k], vs[u])
             for name, k, u in zip(g._names, self.origin, g._dst)
         }
 
@@ -54,12 +55,12 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
     parent_edge, children = tree.parent_edge, tree._children
     # The corner index of each host vertex, -1 where it is not kept.
     kept = [-1] * len(vs)
-    kept_names: list[str] = []
+    kept_indices: list[int] = []
     for v in tree.spanned_indices:
         out = host._out[v]
         if not (out and len(children[v]) == len(out)):
-            kept[v] = len(kept_names)
-            kept_names.append(vs[v])
+            kept[v] = len(kept_indices)
+            kept_indices.append(v)
 
     # Below its root, every vertex's descendants come in the order of
     # the root's own: by (depth, name).  Rank the kept vertices by it.
@@ -94,13 +95,12 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
         origin += [k] * len(ids)
         edge_src += [kept[s]] * len(ids)
         edge_dst += ids
-    edge_names = [
-        f"{e}@{u}" for e, u in zip(map(names.__getitem__, origin),
-                                   map(kept_names.__getitem__, edge_dst))
-    ]
+    kept_names = _Names((vs, kept_indices))
+    edge_names = _Names((names, origin), (kept_names, edge_dst))
     # Distinct pairs (e, u) give distinct names e@u when all kept names
     # hold the same number b of '@': u is what follows the (b+1)-th last.
-    if len({u.count("@") for u in kept_names}) > 1:
+    if len(set(kept_names.at_counts())) > 1:
+        edge_names = list(edge_names)
         _unclash(edge_names)
     graph = DirectedMultigraph._from_indices(
         kept_names, edge_names, edge_src, edge_dst

@@ -21,6 +21,7 @@ from .multigraph import (
     DirectedMultigraph,
     GraphFormatError,
     Path,
+    _Names,
     _strongly_connected_components,
     is_acyclic,
     path_range,
@@ -31,6 +32,7 @@ DEFAULT_CAP = 10_000
 DEFAULT_BOUND = 100
 
 _FACTOR_RE = re.compile(r"[zZ]([1-9][0-9]*)?")
+_COORDINATE_RE = re.compile(r"[+-]?[0-9]+")
 
 Element = tuple[int, ...]
 
@@ -108,11 +110,11 @@ class GroupSpec(NamedTuple("GroupSpec", [("moduli", tuple[int, ...])])):
         yield from product(*(range(m) for m in self.moduli))
 
     def parse_element(self, text: str) -> Element:
-        try:
-            coords = [int(tok) for tok in text.split(",")]
-        except ValueError:
-            raise ValueError(f"bad group element {text!r}") from None
-        return self.canonical(coords)
+        """Comma-joined plain decimal coordinates, ``[+-]?[0-9]+`` each."""
+        tokens = text.split(",")
+        if not all(map(_COORDINATE_RE.fullmatch, tokens)):
+            raise ValueError(f"bad group element {text!r}")
+        return self.canonical(map(int, tokens))
 
     def encode(self, a: Element) -> str:
         return ",".join(str(c) for c in a)
@@ -274,7 +276,8 @@ def _explore(
     are first met, seeds first.  Skew edges come in the order their
     sources are dequeued, or sorted by (host edge, element number) with
     ``by_edge``.  Needing more than ``cap`` states raises
-    CapExceededError.
+    CapExceededError.  The names ``v@g`` and ``e@g`` are name columns
+    over the host's names and the element encodings.
     """
     # The edge (e, s) runs from (s(e), c(e)+s), so the edges leaving the
     # state (v, t) have s = t - c(e).
@@ -283,7 +286,11 @@ def _explore(
     n = len(host.vertices)
     states = [(v, number(g)) for v, g in seeds]
     state_of = {t * n + v: i for i, (v, t) in enumerate(states)}
-    edges: list[tuple[int, int, int, int]] = []
+    # The skew edge (e, s) from state i to state j, as four columns.
+    se: list[int] = []
+    ss: list[int] = []
+    src: list[int] = []
+    dst: list[int] = []
     for i, (v, t) in enumerate(states):
         for k, w, step, table in out[v]:
             s = table.get(t)
@@ -298,15 +305,20 @@ def _explore(
                     )
                 j = state_of[s * n + w] = len(states)
                 states.append((w, s))
-            edges.append((k, s, i, j))
+            se.append(k)
+            ss.append(s)
+            src.append(i)
+            dst.append(j)
     if by_edge:
-        edges.sort()
+        key = [k * len(elements) + s for k, s in zip(se, ss)]
+        order = sorted(range(len(key)), key=key.__getitem__)
+        se, ss, src, dst = ([col[x] for x in order]
+                            for col in (se, ss, src, dst))
     encs = list(map(c.group.name_encode, elements))
-    vs, names = host.vertices, host._names
     return DirectedMultigraph._from_indices(
-        [f"{vs[v]}@{encs[t]}" for v, t in states],
-        [f"{names[k]}@{encs[s]}" for k, s, _, _ in edges],
-        [e[2] for e in edges], [e[3] for e in edges],
+        _Names((host.vertices, [v for v, _ in states]),
+               (encs, [t for _, t in states])),
+        _Names((host._names, se), (encs, ss)), src, dst,
     )
 
 

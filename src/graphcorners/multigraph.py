@@ -18,10 +18,15 @@ errors and the public API.
 from __future__ import annotations
 
 import re
-from itertools import chain, islice
+from itertools import chain
+from operator import add
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z0-9_@.-]+")
+
+# Entries per block: output is written, and the parts of derived names
+# are gathered, a block at a time, so neither is held whole.
+_BLOCK = 1024
 
 
 class GraphFormatError(ValueError):
@@ -78,6 +83,124 @@ class Path:
         )
 
 
+def _blocks(table: Sequence, columns: tuple[Sequence[int], ...]
+            ) -> Iterator[list]:
+    """The entries table[columns[-1][...columns[0][i]]], in lists of
+    ``_BLOCK``, in order of i.
+
+    The table is first composed, into a list of references, with each
+    innermost column shorter than columns[0]; each block is then
+    gathered at once, which costs less than chained lookups.
+    """
+    head, *inner = columns
+    while inner and len(inner[-1]) < len(head):
+        table = list(map(table.__getitem__, inner.pop()))
+    for start in range(0, len(head), _BLOCK):
+        indices = head[start:start + _BLOCK]
+        for column in inner:
+            indices = [column[i] for i in indices]
+        yield [table[i] for i in indices]
+
+
+def _read(table: Sequence, columns: tuple[Sequence[int], ...]) -> Iterator:
+    """The entries of ``_blocks`` one by one."""
+    return chain.from_iterable(_blocks(table, columns))
+
+
+class _Names(Sequence):
+    """A read-only column of derived names, each formatted when read.
+
+    ``_Names((seq, idx), ...)`` is the column whose name i joins
+    seq[idx[i]] over the pairs given, with '@': a skew vertex joins a
+    host vertex and an element encoding, a corner edge a host edge and a
+    kept vertex.  A seq that is itself a column gives its own parts, each
+    read through idx first, so restricting a column makes no string.
+    Each part of a name is thus an entry of a plain table of distinct
+    strings (host names, element encodings) read through a chain of
+    index columns.  A column compares equal to a tuple, list or column of
+    the same names.
+    """
+
+    __slots__ = ("_parts", "_len")
+
+    def __init__(self, *pairs: tuple[Sequence[str], Sequence[int]]) -> None:
+        self._parts = tuple(
+            (table, (idx, *columns))
+            for seq, idx in pairs
+            for table, columns in (
+                seq._parts if isinstance(seq, _Names) else [(seq, ())])
+        )
+        self._len = len(pairs[0][1])
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[str]:
+        return map("@".join, zip(
+            *(_read(table, columns) for table, columns in self._parts)))
+
+    def __getitem__(self, i):
+        i = range(self._len)[i]
+        if isinstance(i, range):
+            return _Names((self, i))
+        parts = []
+        for table, columns in self._parts:
+            x = i
+            for column in columns:
+                x = column[x]
+            parts.append(table[x])
+        return "@".join(parts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (_Names, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def at_counts(self) -> Iterator[int]:
+        """The number of '@' within the parts of each name."""
+        return map(sum, zip(*(
+            _read([s.count("@") for s in table], columns)
+            for table, columns in self._parts)))
+
+    def order_key(self) -> list[int]:
+        """Integer keys, one per name, in the str order of the names.
+
+        Each part adds its string's rank in its table, the string taken
+        with a trailing '@' in every part but the last.  That orders the
+        names exactly when, in those tables, no string followed by '@'
+        begins another: checked on each sorted table that holds an '@',
+        where such a string would come right before one it begins.
+        Otherwise the formatted names are ranked instead.
+        """
+        key, weight = None, 1
+        for p, (table, columns) in enumerate(reversed(self._parts)):
+            strings = [s + "@" for s in table] if p else table
+            order = sorted(range(len(table)), key=strings.__getitem__)
+            if p and "@" in "".join(table) and any(map(
+                    str.startswith, map(strings.__getitem__, order[1:]),
+                    map(strings.__getitem__, order))):
+                return _Names((list(self), range(self._len))).order_key()
+            rank = [0] * len(table)
+            for r, x in enumerate(order):
+                rank[x] = r * weight
+            column = _read(rank, columns)
+            key = column if key is None else map(add, key, column)
+            weight *= len(table)
+        return list(key)
+
+
+def _order_key(names: Sequence[str]) -> Sequence:
+    """Keys in the str order of names: a column's ``order_key``, and
+    plain names themselves."""
+    return names.order_key() if isinstance(names, _Names) else names
+
+
 class DirectedMultigraph:
     """Immutable directed multigraph; parallel edges and loops allowed.
 
@@ -86,6 +209,8 @@ class DirectedMultigraph:
     constructions are deterministic.  ``vertices`` holds the names, edge
     columns hold each edge's name, source index, range index and label,
     and ``_out[v]``/``_in[v]`` list the edges leaving and entering v.  The
+    names are read-only sequences: a tuple of vertex names and a list of
+    edge names as given, or for a derived graph ``_Names`` columns.  The
     library works on indices; ``Edge`` objects are made on request only.
     The public constructor checks every item in one pass (names,
     endpoints, each edge item's shape and label); ``parse_graph``, which
@@ -110,14 +235,15 @@ class DirectedMultigraph:
 
     @classmethod
     def _from_indices(cls, vertices, names, src, dst, labels=None):
-        """The trusted constructor: endpoints are vertex indices, and names
-        are unchecked.  ``parse_graph`` and ``relabelled`` check theirs; the
+        """The trusted constructor: endpoints are vertex indices, and the
+        name sequences are stored as they are, unchecked.  ``parse_graph``
+        and ``relabelled`` check theirs; the
         library's own are unique by construction: a skew name ``v@g`` or
         ``e@g`` splits uniquely at its last '@', since no element encoding
         holds one, corner edge names go through ``corner._unclash``, and
         the CLI's ``--relabel`` names ``v{i}``/``e{k}`` are positional."""
         g = cls.__new__(cls)
-        g.vertices, g._names, g._src, g._dst = tuple(vertices), names, src, dst
+        g.vertices, g._names, g._src, g._dst = vertices, names, src, dst
         g._labels = labels or [None] * len(names)
         return g
 
@@ -128,7 +254,7 @@ class DirectedMultigraph:
             items = self.vertices if name == "_index" else self._names
             value = dict(zip(items, range(len(items))))
         elif name in ("_out", "_in"):
-            value = [[] for _ in self.vertices]
+            value = [[] for _ in range(len(self.vertices))]
             for k, v in enumerate(self._src if name == "_out" else self._dst):
                 value[v].append(k)
         else:
@@ -158,7 +284,9 @@ class DirectedMultigraph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         """All edges, in insertion order."""
-        return tuple(map(self._edge, range(len(self._names))))
+        vs = list(self.vertices)
+        return tuple(map(Edge, self._names, map(vs.__getitem__, self._src),
+                         map(vs.__getitem__, self._dst), self._labels))
 
     def has_vertex(self, v: str) -> bool:
         return v in self._index
@@ -247,12 +375,18 @@ def _check_items(vertices: Sequence, items: list) -> tuple[dict, list]:
 
 
 def parse_graph(text: str) -> DirectedMultigraph:
-    """Parse graph-file content; errors report the offending line number."""
+    """Parse graph-file content; errors report the offending line number.
+
+    A line ends at a line feed, a carriage return, or the two together,
+    and nowhere else: the other breaks of ``str.splitlines``, such as a
+    form feed, are whitespace within a line.
+    """
     vertices: dict[str, int] = {}
     edges: dict[str, None] = {}
     src, dst, labels = [], [], []
     valid = NAME_RE.fullmatch
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue
@@ -291,44 +425,84 @@ def parse_graph(text: str) -> DirectedMultigraph:
                 )
         except GraphFormatError as exc:
             raise GraphFormatError(f"line {lineno}: {exc}") from None
-    g = DirectedMultigraph._from_indices(vertices, list(edges), src, dst,
-                                         labels)
+    g = DirectedMultigraph._from_indices(tuple(vertices), list(edges), src,
+                                         dst, labels)
     g._index = vertices
     return g
 
 
-# Lines per block of formatted output: a block is one write, and no
-# output is held whole while it is written.
-_BLOCK_LINES = 1024
+def _lines(*fields: str | Sequence[str]) -> str:
+    """A block of lines, joined at once: line i is the concatenation of
+    the fields, each str as it is and each sequence by its i-th item."""
+    count = len(next(f for f in fields if not isinstance(f, str)))
+    pieces = [f if isinstance(f, str) else None for f in fields] * count
+    for j, field in enumerate(fields):
+        if not isinstance(field, str):
+            pieces[j::len(fields)] = field
+    return "".join(pieces)
 
 
-def _in_blocks(lines: Iterator[str]) -> Iterator[str]:
-    """Newline-ended lines, joined in blocks of ``_BLOCK_LINES``."""
-    while block := "".join(islice(lines, _BLOCK_LINES)):
-        yield block
+def _name_fields(names: Sequence[str]) -> Iterator[list]:
+    """Per block of ``_BLOCK`` names, the fields of ``_lines`` that spell
+    them: a column's parts, each a list, with '@' between them, or the
+    block of names itself."""
+    if not isinstance(names, _Names):
+        return ([names[start:start + _BLOCK]]
+                for start in range(0, len(names), _BLOCK))
+    return ([field for part in parts for field in ("@", part)][1:]
+            for parts in zip(*(_blocks(table, columns)
+                               for table, columns in names._parts)))
 
 
 def _graph_blocks(g: DirectedMultigraph) -> Iterator[str]:
-    """The graph file format of g, in blocks."""
-    vs = g.vertices
-    return _in_blocks(chain(
-        (f"vertex {v}\n" for v in vs),
-        (f"edge {name} {vs[s]} {vs[d]}\n" if label is None
-         else f"edge {name} {vs[s]} {vs[d]} {label}\n"
-         for name, s, d, label in zip(g._names, g._src, g._dst, g._labels)),
-    ))
+    """The graph file format of g, in blocks of ``_BLOCK`` lines."""
+    vs, src, dst, labels = list(g.vertices), g._src, g._dst, g._labels
+    tails = {x: "\n" if x is None else f" {x}\n" for x in set(labels)}
+    for start in range(0, len(vs), _BLOCK):
+        yield _lines("vertex ", vs[start:start + _BLOCK], "\n")
+    for start, name in zip(range(0, len(labels), _BLOCK),
+                           _name_fields(g._names)):
+        stop = start + _BLOCK
+        yield _lines("edge ", *name,
+                     " ", [vs[v] for v in src[start:stop]],
+                     " ", [vs[v] for v in dst[start:stop]],
+                     [tails[x] for x in labels[start:stop]])
 
 
 def _dot_blocks(g: DirectedMultigraph) -> Iterator[str]:
-    """The DOT export of g, in blocks."""
-    vs, names, src, dst = g.vertices, g._names, g._src, g._dst
-    return _in_blocks(chain(
-        ["digraph G {\n"],
-        (f'  "{v}";\n' for v in sorted(vs)),
-        (f'  "{vs[src[k]]}" -> "{vs[dst[k]]}" [label="{names[k]}"];\n'
-         for k in sorted(range(len(names)), key=names.__getitem__)),
-        ["}\n"],
-    ))
+    """The DOT export of g, in blocks of ``_BLOCK`` lines."""
+    vs, src, dst = list(g.vertices), g._src, g._dst
+    yield "digraph G {\n"
+    order = _name_order(vs)
+    for start in range(0, len(order), _BLOCK):
+        yield _lines('  "', [vs[v] for v in order[start:start + _BLOCK]],
+                     '";\n')
+    names = g._names if isinstance(g._names, _Names) else list(g._names)
+    order = _name_order(names)
+    for start, name in zip(range(0, len(order), _BLOCK),
+                           _name_fields(_Names((names, order)))):
+        ks = order[start:start + _BLOCK]
+        yield _lines('  "', [vs[src[k]] for k in ks],
+                     '" -> "', [vs[dst[k]] for k in ks],
+                     '" [label="', *name, '"];\n')
+    yield "}\n"
+
+
+def _name_order(names: Sequence[str]) -> list[int]:
+    """The indices of names in the str order of the names.  A column's
+    keys take their index as a last digit, are sorted, and are turned
+    into those indices in place: no list is made but the keys."""
+    if not isinstance(names, _Names):
+        return sorted(range(len(names)), key=names.__getitem__)
+    order = names.order_key()
+    n = len(order)
+    blocks = [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
+    for b in blocks:
+        order[b] = [k * n + i for i, k in enumerate(order[b], b.start)]
+    order.sort()
+    for b in blocks:
+        order[b] = [k % n for k in order[b]]
+    return order
 
 
 def serialize_graph(g: DirectedMultigraph) -> str:
@@ -498,7 +672,7 @@ def relabelled(
     """
     emap = edge_map or {}
     h = DirectedMultigraph._from_indices(
-        [vertex_map[v] for v in g.vertices],
+        tuple([vertex_map[v] for v in g.vertices]),
         [emap.get(name, name) for name in g._names],
         g._src, g._dst, g._labels,
     )

@@ -9,7 +9,7 @@ corner construction requires.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .multigraph import (
     DirectedMultigraph,
@@ -17,6 +17,7 @@ from .multigraph import (
     Path,
     _distances,
     _kahn,
+    _order_key,
     bfs_distances,  # noqa: F401  (re-exported)
 )
 
@@ -66,6 +67,11 @@ class DirectedSubtree(NamedTuple("DirectedSubtree", [
     def is_tree_edge(self, name: str) -> bool:
         k = self.host._edge_index.get(name)
         return k is not None and self.parent_edge[self.host._dst[k]] == k
+
+    @cached_property
+    def _vertex_key(self) -> Sequence:
+        """Keys in the str order of the host's vertex names."""
+        return _order_key(self.host.vertices)
 
     @cached_property
     def _children(self) -> list[list[int]]:
@@ -176,12 +182,12 @@ def descendants(
         if v not in tree.tree_vertices:
             raise GraphFormatError(f"vertex {v!r} not in the subtree")
         v = tree.host._index[v]
-    children = tree._children
+    children, key = tree._children, tree._vertex_key
     order = [v]
     frontier = order[:]
     while frontier:
         frontier = [w for u in frontier for w in children[u]]
-        frontier.sort(key=names.__getitem__)
+        frontier.sort(key=key.__getitem__)
         order += frontier
     return order if indices else tuple([names[i] for i in order])
 
@@ -205,11 +211,11 @@ def build_spanning_subtree(
     depth = [-2] * len(host.vertices)  # -2 + 1 is no vertex's depth
     for v, d in dist.items():
         depth[v] = d
-    names = host._names
+    key = _order_key(host._names)
     parent_edge = [-1] * len(host.vertices)
     for k, (v, w) in enumerate(zip(host._src, host._dst)):
         if depth[w] == depth[v] + 1:
             j = parent_edge[w]
-            if j < 0 or names[k] < names[j]:
+            if j < 0 or key[k] < key[j]:
                 parent_edge[w] = k
     return DirectedSubtree(host, parent_edge, sorted(dist))

@@ -248,3 +248,18 @@ def simulate_kirchhoff_certificate(g, c, result, repeats: int = 3) -> None:
             acc = group.op(acc, c.label(name))
             assert acc != group.identity
         assert (at, acc) == loop_entry
+
+
+def big_dag_text(n: int = 1200, window: int = 40) -> str:
+    """A random DAG labelled in z5 whose corner at v0 and fixed-point
+    graph over z5 each print to more than 1 MB."""
+    rng = random.Random(0)
+    lines = [f"vertex v{i}" for i in range(n)]
+    for i in range(n - 1):
+        if i and rng.random() < 0.05:
+            continue
+        for _ in range(3):
+            j = rng.randint(i + 1, min(n - 1, i + window))
+            label = rng.randrange(5)
+            lines.append(f"edge e{len(lines) - n} v{i} v{j} {label}")
+    return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ from graphcorners import (
 )
 from graphcorners.cli import _emit_graph, main
 
-from sample_graphs import cyc6, edge1, pqr, rose2, single_loop
+from sample_graphs import big_dag_text, cyc6, edge1, pqr, rose2, single_loop
 
 ROSE2 = serialize_graph(rose2())
 CYC6 = serialize_graph(cyc6())
@@ -398,21 +398,6 @@ def test_outputs_reparse(files, capsys):
         parse_graph(out)
 
 
-def big_dag_text(n: int = 1200, window: int = 40) -> str:
-    """A random DAG labelled in z5 whose corner at v0 and fixed-point
-    graph over z5 each print to more than 1 MB."""
-    rng = random.Random(0)
-    lines = [f"vertex v{i}" for i in range(n)]
-    for i in range(n - 1):
-        if i and rng.random() < 0.05:
-            continue
-        for _ in range(3):
-            j = rng.randint(i + 1, min(n - 1, i + window))
-            label = rng.randrange(5)
-            lines.append(f"edge e{len(lines) - n} v{i} v{j} {label}")
-    return "\n".join(lines) + "\n"
-
-
 @pytest.fixture(scope="module")
 def big_dag(tmp_path_factory):
     path = tmp_path_factory.mktemp("big") / "dag.graph"
@@ -470,14 +455,9 @@ def test_graph_output_is_written_in_blocks(big_dag, monkeypatch, command,
     assert "".join(log.writes) == expected
 
 
-def test_graph_output_peak_memory_is_under_half_its_length(big_dag,
-                                                           monkeypatch):
-    # Formatting holds one block at a time: not the list of lines, nor
-    # the joined text, each of which is as long as the output or longer.
-    host = parse_graph(Path(big_dag).read_text(encoding="utf-8"))
-    g = corner_graph(host, build_spanning_subtree(host, ["v0"])).graph
-    length = len(serialize_graph(g))
-    args = argparse.Namespace(dot=False, relabel=False)
+def _emit_peak(g, monkeypatch, dot=False, relabel=False) -> int:
+    """The tracemalloc peak of writing g to the null device."""
+    args = argparse.Namespace(dot=dot, relabel=relabel)
     with open(os.devnull, "w", encoding="utf-8") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
@@ -486,7 +466,30 @@ def test_graph_output_peak_memory_is_under_half_its_length(big_dag,
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peak < length / 2
+    return peak
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+def test_graph_output_peak_memory_is_under_half_its_length(big_dag,
+                                                           monkeypatch,
+                                                           relabel):
+    # Formatting holds one block at a time: not the list of lines, nor
+    # the joined text, each of which is as long as the output or longer.
+    # The corner's names, and --relabel's positional ones, are formatted
+    # as their lines are.
+    host = parse_graph(Path(big_dag).read_text(encoding="utf-8"))
+    g = corner_graph(host, build_spanning_subtree(host, ["v0"])).graph
+    length = len(serialize_graph(g))
+    assert _emit_peak(g, monkeypatch, relabel=relabel) < length / 2
+
+
+def test_dot_output_peak_memory_is_one_sort_key_per_edge(big_dag,
+                                                         monkeypatch):
+    # DOT lists the corner's edges sorted by name: the sort holds one
+    # integer key per edge, in place, and no list of names.
+    host = parse_graph(Path(big_dag).read_text(encoding="utf-8"))
+    g = corner_graph(host, build_spanning_subtree(host, ["v0"])).graph
+    assert _emit_peak(g, monkeypatch, dot=True) < 56 * len(g.edges)
 
 
 def _run_cli(argv, **kwargs):

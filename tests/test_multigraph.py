@@ -100,6 +100,15 @@ class TestParse:
          "line 3: duplicate edge name 'e'"),
         ("   \n\t#\nvertex a\nedge e a x\n",
          "line 4: edge 'e': endpoint 'x' undeclared"),
+        # Only '\n', '\r\n' and '\r' end a line: a form feed or another
+        # break of str.splitlines is whitespace within it.
+        ("vertex a\fvertex b\nedge e a c\n",
+         "line 1: expected 'vertex NAME', got 'vertex a\\x0cvertex b'"),
+        ("vertex a\fvertex b",
+         "line 1: expected 'vertex NAME', got 'vertex a\\x0cvertex b'"),
+        ("vertex a\rvertex b\x85\u2028\x1d\nedge e a b\x1c1\v2\x1e\n",
+         "line 3: expected 'edge NAME SRC DST [LABEL]', "
+         "got 'edge e a b\\x1c1\\x0b2\\x1e'"),
     ])
     def test_error_text(self, text, message):
         with pytest.raises(GraphFormatError) as caught:
@@ -517,16 +526,21 @@ def hosts_named_with_at(draw):
     return DirectedMultigraph(vs, edges), coords, roots
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(hosts_named_with_at())
-def test_derived_names_stay_unique_on_hosts_named_with_at(drawn):
-    host, coords, roots = drawn
-    z3, z2z3, z = (
+def _labellings(host, coords):
+    """The drawn coordinates as labellings under z3, z2,z3 and z."""
+    return [
         Labelling.from_map(host, GroupSpec.parse(spec),
                            {k: pick(a, b) for k, (a, b) in coords.items()})
         for spec, pick in (("z3", lambda a, b: a),
                            ("z2,z3", lambda a, b: (b, a)),
-                           ("z", lambda a, b: a)))
+                           ("z", lambda a, b: a))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hosts_named_with_at())
+def test_derived_names_stay_unique_on_hosts_named_with_at(drawn):
+    host, coords, roots = drawn
+    z3, z2z3, z = _labellings(host, coords)
     derived = [skew_product(host, z3), skew_product(host, z2z3),
                corner_graph(host, build_spanning_subtree(host, roots)).graph]
     for c in (z3, z2z3, z):
@@ -541,3 +555,40 @@ def test_derived_names_stay_unique_on_hosts_named_with_at(drawn):
         assert len(set(g.vertices)) == len(g.vertices)
         assert len(set(names)) == len(names)
         assert parse_graph(serialize_graph(g)) == g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hosts_named_with_at())
+def test_derived_names_sort_as_their_strings(drawn):
+    # The pipeline's skew keeps its names as columns and orders them by
+    # rank keys: its BFS tie-break, its descendant order and the DOT sort
+    # use them.  The same skew parsed back holds plain strings, ordered
+    # as str.  Some hosts here need the keys' fallback: with the vertices
+    # a and a@0@1, the skew names a@0@1@g sort among a@g.
+    host, coords, _ = drawn
+    for c in _labellings(host, coords):
+        try:
+            result = fixed_point_pipeline(host, c, cap=64)
+        except CapExceededError:
+            continue
+        skew = parse_graph(serialize_graph(result.skew))
+        tree = build_spanning_subtree(skew, skew.vertices[:len(host.vertices)])
+        plain = corner_graph(skew, tree).graph
+        for write in (serialize_graph, to_dot):
+            assert write(result.corner.graph) == write(plain)
+        assert to_dot(result.skew) == to_dot(skew)
+
+
+@pytest.mark.parametrize("vertices", [["b", "a"], ["a@0@1", "a"]])
+def test_dot_sorts_derived_names_as_strings(vertices):
+    # Each part is ranked with its '@': e1@g sorts before e@g, though e
+    # sorts before e1.  Over a@0@1 and a the ranks of the parts do not
+    # order the names, and the keys fall back to the formatted names.
+    host = DirectedMultigraph(vertices, [("e", vertices[0], vertices[1], "1"),
+                                         ("e1", vertices[1], vertices[0])])
+    skew = skew_product(host, Labelling.from_graph(host, GroupSpec.parse("z2")))
+    lines = to_dot(skew).splitlines()
+    shown = [line.split('"')[1] for line in lines if line.endswith('";')]
+    assert shown == sorted(skew.vertices) != list(skew.vertices)
+    labels = [line.split('"')[-2] for line in lines if "->" in line]
+    assert labels == sorted(e.name for e in skew.edges)
