@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 negative decision (iso, check-kirchhoff FAIL),
 2 input or validation error, 3 vertex cap or K-theory bit budget exceeded,
-or UNKNOWN.
+out of memory, or UNKNOWN.
 """
 
 from __future__ import annotations
@@ -310,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (CapExceededError, BitBudgetExceededError) as exc:
         print(exc, file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print("out of memory", *exc.args, file=sys.stderr)
         return 3
     except BrokenPipeError:
         # The reader closed stdout early (``| head``), which is no error.

@@ -12,8 +12,11 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .multigraph import DirectedMultigraph, _Names
-from .subtree import DirectedSubtree, descendants
+from .multigraph import _BLOCK, DirectedMultigraph, _Names
+from .subtree import (
+    DirectedSubtree,
+    descendants,  # noqa: F401  (bench/tracing.py wraps it here)
+)
 
 
 class CornerGraph(NamedTuple("CornerGraph", [
@@ -62,16 +65,11 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
             kept[v] = len(kept_indices)
             kept_indices.append(v)
 
-    # Below its root, every vertex's descendants come in the order of
-    # the root's own: by (depth, name).  Rank the kept vertices by it.
-    roots = [v for v in tree.spanned_indices if parent_edge[v] < 0]
-    rank = {c: i for i, c in enumerate([j for r in roots for j in map(
-        kept.__getitem__, descendants(tree, r, indices=True)) if j >= 0])}
     # A preorder lists the kept vertices below v as pre[first[v]:last[v]];
     # ~v on the stack marks the end of v's subtree.
     pre: list[int] = []
-    first, last = [0] * len(vs), [0] * len(vs)
-    stack = roots[:]
+    first, last, depth = [0] * len(vs), [0] * len(vs), [0] * len(vs)
+    stack = [v for v in tree.spanned_indices if parent_edge[v] < 0]
     while stack:
         v = stack.pop()
         if v < 0:
@@ -79,9 +77,20 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
             continue
         first[v] = len(pre)
         if kept[v] >= 0:
-            pre.append(kept[v])
+            pre.append(v)
         stack.append(~v)
+        for w in children[v]:
+            depth[w] = depth[v] + 1
         stack += children[v]
+    # Below any vertex, the kept vertices come by (depth, name), as in
+    # descendants(): one order of them all.  Ranked in it, each edge's
+    # targets sort without a key.
+    order = sorted(kept_indices, key=tree._vertex_key.__getitem__)
+    order.sort(key=depth.__getitem__)
+    rank = [0] * len(vs)
+    for r, v in enumerate(order):
+        rank[v] = r
+    pre = [rank[v] for v in pre]
 
     origin: list[int] = []
     edge_src: list[int] = []
@@ -91,15 +100,19 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
         if kept[s] < 0 or parent_edge[d] == k:
             continue
         ids = pre[first[d]:last[d]]
-        ids.sort(key=rank.__getitem__)
+        ids.sort()
         origin += [k] * len(ids)
         edge_src += [kept[s]] * len(ids)
         edge_dst += ids
+    # Ranks back to corner indices, a block at a time, in place.
+    by_rank = [kept[v] for v in order]
+    for b in range(0, len(edge_dst), _BLOCK):
+        edge_dst[b:b + _BLOCK] = [by_rank[r] for r in edge_dst[b:b + _BLOCK]]
     kept_names = _Names((vs, kept_indices))
     edge_names = _Names((names, origin), (kept_names, edge_dst))
     # Distinct pairs (e, u) give distinct names e@u when all kept names
     # hold the same number b of '@': u is what follows the (b+1)-th last.
-    if len(set(kept_names.at_counts())) > 1:
+    if len(kept_names.at_counts()) > 1:
         edge_names = list(edge_names)
         _unclash(edge_names)
     graph = DirectedMultigraph._from_indices(

@@ -277,7 +277,9 @@ def _explore(
     sources are dequeued, or sorted by (host edge, element number) with
     ``by_edge``.  Needing more than ``cap`` states raises
     CapExceededError.  The names ``v@g`` and ``e@g`` are name columns
-    over the host's names and the element encodings.
+    over the host's names and the element encodings.  Without
+    ``by_edge``, each state's out-edges are one run, handed over as
+    ``_out``, a list of ranges.
     """
     # The edge (e, s) runs from (s(e), c(e)+s), so the edges leaving the
     # state (v, t) have s = t - c(e).
@@ -286,12 +288,14 @@ def _explore(
     n = len(host.vertices)
     states = [(v, number(g)) for v, g in seeds]
     state_of = {t * n + v: i for i, (v, t) in enumerate(states)}
-    # The skew edge (e, s) from state i to state j, as four columns.
+    # The skew edge (e, s) from state i to state j, as three columns: its
+    # element s is its range's.  The edges of state i start at starts[i].
     se: list[int] = []
-    ss: list[int] = []
     src: list[int] = []
     dst: list[int] = []
+    starts: list[int] = []
     for i, (v, t) in enumerate(states):
+        starts.append(len(dst))
         for k, w, step, table in out[v]:
             s = table.get(t)
             if s is None:
@@ -306,20 +310,22 @@ def _explore(
                 j = state_of[s * n + w] = len(states)
                 states.append((w, s))
             se.append(k)
-            ss.append(s)
             src.append(i)
             dst.append(j)
+    st = [t for _, t in states]
     if by_edge:
-        key = [k * len(elements) + s for k, s in zip(se, ss)]
+        key = [k * len(elements) + st[j] for k, j in zip(se, dst)]
         order = sorted(range(len(key)), key=key.__getitem__)
-        se, ss, src, dst = ([col[x] for x in order]
-                            for col in (se, ss, src, dst))
+        se, src, dst = ([col[x] for x in order] for col in (se, src, dst))
     encs = list(map(c.group.name_encode, elements))
-    return DirectedMultigraph._from_indices(
-        _Names((host.vertices, [v for v, _ in states]),
-               (encs, [t for _, t in states])),
-        _Names((host._names, se), (encs, ss)), src, dst,
+    g = DirectedMultigraph._from_indices(
+        _Names((host.vertices, [v for v, _ in states]), (encs, st)),
+        _Names((host._names, se), (_Names((encs, st)), dst)), src, dst,
     )
+    if not by_edge:
+        starts.append(len(dst))
+        g._out = list(map(range, starts, starts[1:]))
+    return g
 
 
 class KirchhoffResult(NamedTuple):

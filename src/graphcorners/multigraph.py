@@ -117,11 +117,11 @@ class _Names(Sequence):
     read through idx first, so restricting a column makes no string.
     Each part of a name is thus an entry of a plain table of distinct
     strings (host names, element encodings) read through a chain of
-    index columns.  A column compares equal to a tuple, list or column of
-    the same names.
+    index columns.  ``_last`` keeps the last pair given.  A column
+    compares equal to a tuple, list or column of the same names.
     """
 
-    __slots__ = ("_parts", "_len")
+    __slots__ = ("_parts", "_len", "_last")
 
     def __init__(self, *pairs: tuple[Sequence[str], Sequence[int]]) -> None:
         self._parts = tuple(
@@ -130,7 +130,7 @@ class _Names(Sequence):
             for table, columns in (
                 seq._parts if isinstance(seq, _Names) else [(seq, ())])
         )
-        self._len = len(pairs[0][1])
+        self._len, self._last = len(pairs[0][1]), pairs[-1]
 
     def __len__(self) -> int:
         return self._len
@@ -162,13 +162,16 @@ class _Names(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def at_counts(self) -> Iterator[int]:
-        """The number of '@' within the parts of each name."""
-        return map(sum, zip(*(
-            _read([s.count("@") for s in table], columns)
-            for table, columns in self._parts)))
+    def at_counts(self) -> set[int]:
+        """The numbers of '@' the names hold: read from the tables alone
+        when each table's strings all hold one number, else name by name."""
+        counts = [[s.count("@") for s in table] for table, _ in self._parts]
+        if all(len(set(c)) <= 1 for c in counts):
+            return {sum(c[0] for c in counts if c)}
+        return set(map(sum, zip(*(_read(c, columns) for c, (_, columns)
+                                  in zip(counts, self._parts)))))
 
-    def order_key(self) -> list[int]:
+    def order_key(self, through: Sequence[int] | None = None) -> list[int]:
         """Integer keys, one per name, in the str order of the names.
 
         Each part adds its string's rank in its table, the string taken
@@ -176,10 +179,14 @@ class _Names(Sequence):
         names exactly when, in those tables, no string followed by '@'
         begins another: checked on each sorted table that holds an '@',
         where such a string would come right before one it begins.
-        Otherwise the formatted names are ranked instead.
+        Otherwise the formatted names are ranked instead.  Parts read
+        through the column ``through`` are left out, so the keys order
+        the names that agree there.
         """
         key, weight = None, 1
         for p, (table, columns) in enumerate(reversed(self._parts)):
+            if columns[0] is through:
+                continue
             strings = [s + "@" for s in table] if p else table
             order = sorted(range(len(table)), key=strings.__getitem__)
             if p and "@" in "".join(table) and any(map(
@@ -192,13 +199,13 @@ class _Names(Sequence):
             column = _read(rank, columns)
             key = column if key is None else map(add, key, column)
             weight *= len(table)
-        return list(key)
+        return [0] * self._len if key is None else list(key)
 
 
-def _order_key(names: Sequence[str]) -> Sequence:
+def _order_key(names: Sequence[str], through=None) -> Sequence:
     """Keys in the str order of names: a column's ``order_key``, and
     plain names themselves."""
-    return names.order_key() if isinstance(names, _Names) else names
+    return names.order_key(through) if isinstance(names, _Names) else names
 
 
 class DirectedMultigraph:
@@ -249,7 +256,8 @@ class DirectedMultigraph:
 
     def __getattr__(self, name: str) -> dict[str, int] | list[list[int]]:
         # The name indexes and adjacency lists are each built on first use:
-        # a printed graph needs none of them, and a skew product only _out.
+        # a printed graph needs none of them, and a skew product only _out,
+        # which the reachable skew's explorer hands over as ranges.
         if name in ("_index", "_edge_index"):
             items = self.vertices if name == "_index" else self._names
             value = dict(zip(items, range(len(items))))
@@ -442,31 +450,37 @@ def _lines(*fields: str | Sequence[str]) -> str:
     return "".join(pieces)
 
 
-def _name_fields(names: Sequence[str]) -> Iterator[list]:
+def _name_fields(names: Sequence[str], lead: int | None = None
+                 ) -> Iterator[list]:
     """Per block of ``_BLOCK`` names, the fields of ``_lines`` that spell
-    them: a column's parts, each a list, with '@' between them, or the
-    block of names itself."""
+    them: a column's parts (its first ``lead`` if given), each a list,
+    with '@' between them, or the block of names itself."""
     if not isinstance(names, _Names):
         return ([names[start:start + _BLOCK]]
                 for start in range(0, len(names), _BLOCK))
     return ([field for part in parts for field in ("@", part)][1:]
             for parts in zip(*(_blocks(table, columns)
-                               for table, columns in names._parts)))
+                               for table, columns in names._parts[:lead])))
 
 
 def _graph_blocks(g: DirectedMultigraph) -> Iterator[str]:
-    """The graph file format of g, in blocks of ``_BLOCK`` lines."""
+    """The graph file format of g, in blocks of ``_BLOCK`` lines; a range
+    name that ends its edge's name is gathered once for both."""
     vs, src, dst, labels = list(g.vertices), g._src, g._dst, g._labels
     tails = {x: "\n" if x is None else f" {x}\n" for x in set(labels)}
+    tail = tails.popitem()[1] if len(tails) == 1 else None
     for start in range(0, len(vs), _BLOCK):
         yield _lines("vertex ", vs[start:start + _BLOCK], "\n")
+    seq, idx = getattr(g._names, "_last", (None, None))
+    lead = (len(g._names._parts) - len(_Names((seq, idx))._parts) or None
+            if seq is g.vertices and idx is dst else None)
     for start, name in zip(range(0, len(labels), _BLOCK),
-                           _name_fields(g._names)):
+                           _name_fields(g._names, lead)):
         stop = start + _BLOCK
-        yield _lines("edge ", *name,
-                     " ", [vs[v] for v in src[start:stop]],
-                     " ", [vs[v] for v in dst[start:stop]],
-                     [tails[x] for x in labels[start:stop]])
+        ranges = [vs[v] for v in dst[start:stop]]
+        yield _lines("edge ", *name, *(("@", ranges) if lead else ()),
+                     " ", [vs[v] for v in src[start:stop]], " ", ranges,
+                     tail or [tails[x] for x in labels[start:stop]])
 
 
 def _dot_blocks(g: DirectedMultigraph) -> Iterator[str]:

@@ -167,29 +167,23 @@ def root_path(tree: DirectedSubtree, v: str) -> Path:
     return Path(start=host.vertices[at], edges=tuple(names))
 
 
-def descendants(
-    tree: DirectedSubtree, v: str | int, indices: bool = False
-) -> tuple[str, ...] | list[int]:
+def descendants(tree: DirectedSubtree, v: str) -> tuple[str, ...]:
     """Vertices reachable from v along tree edges, v included.
 
-    Ordered by tree distance from v, then by vertex name, which is the
-    order the corner construction enumerates targets in; it calls this
-    once per root and ranks the kept vertices by it.  With ``indices``,
-    v (which must be spanned) and the result are host vertex indices.
+    Ordered by tree distance from v, then by vertex name: the order of
+    the whole tree by (depth, name), kept to v's subtree, which is how
+    the corner construction ranks its targets.
     """
-    names = tree.host.vertices
-    if not indices:
-        if v not in tree.tree_vertices:
-            raise GraphFormatError(f"vertex {v!r} not in the subtree")
-        v = tree.host._index[v]
+    if v not in tree.tree_vertices:
+        raise GraphFormatError(f"vertex {v!r} not in the subtree")
     children, key = tree._children, tree._vertex_key
-    order = [v]
+    order = [tree.host._index[v]]
     frontier = order[:]
     while frontier:
         frontier = [w for u in frontier for w in children[u]]
         frontier.sort(key=key.__getitem__)
         order += frontier
-    return order if indices else tuple([names[i] for i in order])
+    return tuple(map(tree.host.vertices.__getitem__, order))
 
 
 def build_spanning_subtree(
@@ -211,7 +205,9 @@ def build_spanning_subtree(
     depth = [-2] * len(host.vertices)  # -2 + 1 is no vertex's depth
     for v, d in dist.items():
         depth[v] = d
-    key = _order_key(host._names)
+    # The edges entering one vertex share the parts of their names read
+    # through _dst, so the other parts decide each tie.
+    key = _order_key(host._names, host._dst)
     parent_edge = [-1] * len(host.vertices)
     for k, (v, w) in enumerate(zip(host._src, host._dst)):
         if depth[w] == depth[v] + 1:

@@ -263,3 +263,21 @@ def big_dag_text(n: int = 1200, window: int = 40) -> str:
             label = rng.randrange(5)
             lines.append(f"edge e{len(lines) - n} v{i} v{j} {label}")
     return "\n".join(lines) + "\n"
+
+
+def layered_potential_text(layers: int = 6, width: int = 120) -> str:
+    """A cyclic layered graph labelled in z by potential differences:
+    each layer has a potential, every edge runs from one layer to the
+    next (the last back to the first) and is labelled with the change of
+    potential, so every cycle has label 0 and the reachable skew is
+    finite."""
+    rng = random.Random(0)
+    level = rng.sample(range(-30, 31), layers)
+    lines = [f"vertex v{i}" for i in range(layers * width)]
+    for u in range(layers * width):
+        layer, nxt = u // width, (u // width + 1) % layers
+        for _ in range(3):
+            w = nxt * width + rng.randrange(width)
+            lines.append(f"edge e{len(lines) - layers * width} v{u} v{w} "
+                         f"{level[nxt] - level[layer]}")
+    return "\n".join(lines) + "\n"

@@ -45,15 +45,13 @@ def traced_job(tmp_path, name):
 
 
 def test_traced_acyclic_job(tmp_path):
-    codes, recorder, g = traced_job(tmp_path, "acyclic")
+    codes, recorder, _ = traced_job(tmp_path, "acyclic")
     assert codes == [0] * len(codes)
-    assert {
-        "cli", "multigraph.parse", "subtree.descendants", "corner.corner",
-    } <= set(recorder.names)
-    # The corner walks each tree once per root: the given roots, then
-    # the identity fibre of the skew, one root per host vertex.
-    assert recorder.counts["subtree.descendants_calls"] == (
-        len(g.roots) + len(g.vertices))
+    assert {"cli", "multigraph.parse", "corner.corner"} <= set(recorder.names)
+    # The corner ranks each tree's kept vertices with one pair of sorts,
+    # so the wrapped descendants is never called.
+    assert "subtree.descendants" not in recorder.names
+    assert recorder.counts["subtree.descendants_calls"] == 0
     # Parsing hands its checked columns to the trusted constructor, so a
     # job checks each graph once and never calls the public one.
     assert recorder.counts["multigraph.init_calls"] == 0

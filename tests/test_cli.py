@@ -230,6 +230,45 @@ def test_kth_bit_budget_exit_3(files, capsys, monkeypatch):
     )
 
 
+def test_memory_error_exits_3(files, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(graphcorners.cli, "skew_product", exhausted)
+    code, out, err = run(capsys, ["skew", files("edge1.graph", EDGE1),
+                                  "--group", "z3"])
+    assert (code, out, err) == (3, "", "out of memory\n")
+
+
+MEMORY_PROBE = """
+import resource, sys
+from graphcorners.cli import main
+with open("/proc/self/status") as status:
+    kib = next(int(line.split()[1]) for line in status
+               if line.startswith("VmSize:"))
+limit = (kib + 64 * 1024) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads its size from /proc/self/status")
+def test_out_of_memory_exits_3(files):
+    # The full skew over a group of 10^8 elements lists the elements
+    # first; with its address space capped 64 MiB above its size at
+    # start, the process runs out of memory there.
+    path = files("balanced.graph", BALANCED)
+    done = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE, "skew", path,
+         "--group", "z100000000"],
+        env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", "out of memory\n")
+
+
 def test_fd_dims_command(files, capsys):
     path = files("edge1.graph", EDGE1)
     code, out, _ = run(capsys, ["fd-dims", path])

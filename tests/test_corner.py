@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -269,7 +270,8 @@ def corner_oracle(g, t):
     from the definition: a spanned vertex is dropped when it emits edges
     and all of them are tree edges, and each non-tree edge e with spanned
     source gives e@u for every kept u below r(e) in the tree, level by
-    level, each level in name order."""
+    level, each level in name order.  A name met again is renamed to
+    name.j, with the least j >= 1 no other name takes."""
     below = {v: [] for v in t.tree_vertices}
     for name in t.tree_edges:
         e = g.edge(name)
@@ -289,21 +291,43 @@ def corner_oracle(g, t):
             edges += [(f"{e.name}@{u}", e.src, u)
                       for u in sorted(level) if u in keep]
             level = [w for u in level for w in below[u]]
+    taken = {name for name, _, _ in edges}
+    seen = set()
+    for i, (name, src, dst) in enumerate(edges):
+        if name in seen:
+            name = next(f"{name}.{j}" for j in itertools.count(1)
+                        if f"{name}.{j}" not in taken)
+            taken.add(name)
+            edges[i] = (name, src, dst)
+        seen.add(name)
     return kept, edges
+
+
+def odd_names(seed, count):
+    """count distinct names spelt with x, y, '@' and '.', such as x@y,
+    @ or x.@: a corner edge name e@u may then be read in two ways."""
+    rng, names = random.Random(seed), {}
+    while len(names) < count:
+        names["".join(rng.choices("xy@.", k=rng.randint(1, 6)))] = None
+    return list(names)
 
 
 @st.composite
 def rooted_subtrees(draw):
     """A multigraph on up to 300 vertices with loops and parallel edges,
-    up to six roots, and a subtree spanning their closure grown by a
+    its names plain (v0, e0, ...) or holding '@' and '.', up to six
+    roots, and a subtree spanning their closure grown by a
     breadth-first, depth-first or random-first search: under the last
     two a vertex's tree depth may exceed its BFS distance."""
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(1, 300))
-    vs = [f"v{i}" for i in range(n)]
+    m = rng.randint(n // 2, 3 * n)
+    if draw(st.booleans()):
+        vs, es = odd_names(rng.random(), n), odd_names(rng.random(), m)
+    else:
+        vs, es = [f"v{i}" for i in range(n)], [f"e{k}" for k in range(m)]
     g = DirectedMultigraph(vs, [
-        (f"e{k}", rng.choice(vs), rng.choice(vs))
-        for k in range(rng.randint(n // 2, 3 * n))
+        (name, rng.choice(vs), rng.choice(vs)) for name in es
     ])
     roots = rng.sample(vs, rng.randint(1, min(n, 6)))
     search = draw(st.sampled_from(["random", "depth", "breadth"]))

@@ -18,8 +18,10 @@ from graphcorners import DirectedMultigraph, Edge, serialize_graph
 from graphcorners.cli import main
 
 from sample_graphs import (
+    big_dag_text,
     cyc6,
     edge1,
+    layered_potential_text,
     parallel_edges,
     pqr,
     random_dag,
@@ -179,3 +181,36 @@ def test_kirchhoff_digest(graph_files, options, group):
         ["check-kirchhoff", path, "--group", group] + options.split()
     ))
     assert digest == KIRCHHOFF_DIGESTS[(options, group)]
+
+
+# Whole-size jobs: a deep 1,500-vertex DAG labelled in z5, whose corner
+# at v0 prints 58k lines, and a 720-vertex layered graph labelled in z
+# by potential differences.
+BIG_DIGESTS = {
+    ("dag", "corner --roots v0"):
+        "3c3bc40f0b9137ea223f38f05f206c7316788c1c6be53e7003cf925c19d5b630",
+    ("dag", "fixed-point --group z5"):
+        "e1e51480ab24df4a13987e1f864d7b6d5b5191b16d23aa7e6512738b06b3fde1",
+    ("layered", "fixed-point --group z --cap 4320"):
+        "04a9355bec3f07d2dab0cc5430982aae5d4a32903dd0e697f2a38764ca347b2a",
+}
+
+
+@pytest.fixture(scope="module")
+def big_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("big")
+    texts = {"dag": big_dag_text(1500, 50),
+             "layered": layered_potential_text()}
+    for name, text in texts.items():
+        (root / f"{name}.graph").write_text(text, encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("graph,command", sorted(BIG_DIGESTS))
+def test_big_graph_digest(big_files, graph, command):
+    words = command.split()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([words[0], str(big_files / f"{graph}.graph"), *words[1:]])
+    digest = hashlib.sha256(f"{code}\n{out.getvalue()}".encode())
+    assert digest.hexdigest() == BIG_DIGESTS[(graph, command)]

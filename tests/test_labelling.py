@@ -280,6 +280,26 @@ class TestReachableSkew:
             for e in restricted:
                 assert e.dst in kept  # closure is hereditary
 
+    def test_out_ranges_are_the_adjacency_of_the_edges(self):
+        # The explorer hands each state's run of out-edges over as a
+        # range; it must list exactly the edges whose source is the state.
+        for seed in range(30):
+            rng = random.Random(seed)
+            g = random_multigraph(rng, max_v=6, max_e=12)
+            group = GroupSpec.parse(rng.choice(["z2", "z3", "z,z2"]))
+            c = Labelling.from_map(g, group, {
+                e.name: [rng.randrange(-2, 3) for _ in group.moduli]
+                for e in g.edges})
+            try:
+                reach = reachable_skew(g, c, 60)
+            except CapExceededError:
+                continue
+            out = [[] for _ in reach.vertices]
+            for k, v in enumerate(reach._src):
+                out[v].append(k)
+            assert all(isinstance(r, range) for r in reach._out)
+            assert [list(r) for r in reach._out] == out
+
     def test_rose2_closure_is_everything(self):
         g, c = rose2_z3()
         reach = reachable_skew(g, c, 100)

@@ -1,5 +1,6 @@
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,8 @@ from graphcorners import (
     skew_product,
     to_dot,
 )
+from graphcorners import multigraph
+from graphcorners.cli import _Positional
 from graphcorners.iso import are_isomorphic
 
 from sample_graphs import (
@@ -592,3 +595,57 @@ def test_dot_sorts_derived_names_as_strings(vertices):
     assert shown == sorted(skew.vertices) != list(skew.vertices)
     labels = [line.split('"')[-2] for line in lines if "->" in line]
     assert labels == sorted(e.name for e in skew.edges)
+
+
+def line_by_line(g: DirectedMultigraph) -> str:
+    """The graph file format of g, each name read by index, one line at a
+    time."""
+    vs, names, labels = g.vertices, g._names, g._labels
+    text = "".join(f"vertex {vs[i]}\n" for i in range(len(vs)))
+    for k in range(len(names)):
+        tail = "" if labels[k] is None else f" {labels[k]}"
+        text += f"edge {names[k]} {vs[g._src[k]]} {vs[g._dst[k]]}{tail}\n"
+    return text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(hosts_named_with_at(), st.sampled_from([1, 2, 5, 1024]))
+def test_graph_blocks_match_a_line_by_line_writer(drawn, block):
+    # Plain and labelled hosts (mixed labels, and one label on every
+    # edge), full and reachable skews, corners of a host (renamed where
+    # their names clash) and of a skew, and the positional names of
+    # --relabel; small blocks make every graph span several.
+    host, coords, roots = drawn
+    z3, _, z = _labellings(host, coords)
+    edges = [(e.name, e.src, e.dst) for e in host.edges]
+    graphs = [host, DirectedMultigraph(host.vertices, [
+        (*e, None if k % 3 else str(coords[e[0]][0]))
+        for k, e in enumerate(edges)]),
+        DirectedMultigraph(host.vertices, [(*e, "1") for e in edges]),
+        skew_product(host, z3),
+        corner_graph(host, build_spanning_subtree(host, roots)).graph]
+    for c in (z3, z):
+        try:
+            result = fixed_point_pipeline(host, c, cap=64)
+        except CapExceededError:
+            continue
+        graphs += [result.skew, result.corner.graph]
+    graphs += [DirectedMultigraph._from_indices(
+        _Positional("v", len(g.vertices)), _Positional("e", len(g._names)),
+        g._src, g._dst, g._labels) for g in graphs[-2:]]
+    with mock.patch.object(multigraph, "_BLOCK", block):
+        for g in graphs:
+            assert "".join(multigraph._graph_blocks(g)) == line_by_line(g)
+
+
+def test_graph_blocks_of_a_renamed_corner():
+    # a@b@c is made three times; two of them are renamed, so the corner's
+    # edge names are a list, not a column.
+    g = DirectedMultigraph(
+        ["r", "b@c", "m", "c", "c.1"],
+        [("0t", "r", "b@c"), ("0m", "r", "m"), ("0c", "m", "c"),
+         ("0d", "m", "c.1"), ("a", "r", "b@c"), ("a@b", "r", "m")],
+    )
+    corner = corner_graph(g, build_spanning_subtree(g, ["r"])).graph
+    assert isinstance(corner._names, list)
+    assert serialize_graph(corner) == line_by_line(corner)
