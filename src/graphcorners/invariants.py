@@ -275,14 +275,22 @@ def invariant_factors(rows: dict[int, dict[int, int]]) -> tuple[int, ...]:
     """The nonzero invariant factors d1 | d2 | ... of a sparse integer
     matrix, without transforms; their count is its rank.
 
-    ``rows`` maps a row index to ``{column index: entry}``.  Unit pivots
-    are eliminated in sparse form first.  On the dense rest A,
-    fraction-free elimination gives the rank r and a gcd g of r x r
-    minors, which every factor d_i divides.  The cokernel of A tensored
-    with Z/g is the sum of the Z/d_i and one Z/g per further row, so a
-    diagonal form over Z/g, whose entries stay below g, gives the
-    factors: the first r of its chain.
+    ``rows`` maps a row index to ``{column index: entry}``; it is left as
+    it is.  Unit pivots are eliminated in sparse form first.  On the
+    dense rest A, fraction-free elimination gives the rank r and a gcd g
+    of r x r minors, which every factor d_i divides.  The cokernel of A
+    tensored with Z/g is the sum of the Z/d_i and one Z/g per further
+    row, so a diagonal form over Z/g, whose entries stay below g, gives
+    the factors: the first r of its chain.
     """
+    nonzero = ((r, {c: x for c, x in row.items() if x})
+               for r, row in rows.items())
+    return _factors({r: row for r, row in nonzero if row})
+
+
+def _factors(rows: dict[int, dict[int, int]]) -> tuple[int, ...]:
+    """``invariant_factors`` of rows with no zero entry and no empty row,
+    which it takes over and changes."""
     units, A = _eliminate_units(rows)
     if not A:
         return (1,) * units
@@ -303,53 +311,47 @@ def invariant_factors(rows: dict[int, dict[int, int]]) -> tuple[int, ...]:
 def _eliminate_units(
     rows: dict[int, dict[int, int]],
 ) -> tuple[int, list[list[int]]]:
-    """Eliminate +-1 pivots, cheapest first by the Markowitz cost
-    (row nnz - 1) * (column nnz - 1) as last pushed; return their count
-    and the dense rest, zero rows and columns dropped.
+    """Eliminate +-1 pivots, in place, from rows with no zero entry and no
+    empty row; return their count and the dense rest, zero rows and
+    columns dropped.
 
     A unit pivot splits off Z/1 and leaves the Schur complement, whose
-    invariant factors are the remaining ones.  Each unit entry is pushed
-    once, at the start or when an update makes it a unit, with its cost
-    after that row's update.  A popped candidate whose cost has grown
-    since goes back with its new cost; one whose cost has fallen is
-    taken as it comes, so the order is close to, not strictly, Markowitz.
+    invariant factors are the remaining ones.  Rows that hold a unit wait
+    in buckets by length.  Each pivot is the unit in the shortest column
+    of the first row of the shortest bucket, close to the Markowitz order
+    (row nnz - 1) * (column nnz - 1).  A row an update touches leaves its
+    bucket first and goes back only if it still holds a unit, so no
+    bucket holds a stale row.
     """
-    # Imported here, so that importing the package does not load heapq.
-    from heapq import heapify, heappop, heappush
-
-    rows = {r: {c: x for c, x in row.items() if x} for r, row in rows.items()}
-    rows = {r: row for r, row in rows.items() if row}
     cols: dict[int, set[int]] = {}
+    buckets: dict[int, dict[int, None]] = {}
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
-    heap = [
-        ((len(row) - 1) * (len(cols[c]) - 1), r, c)
-        for r, row in rows.items()
-        for c, x in row.items()
-        if x == 1 or x == -1
-    ]
-    heapify(heap)
+        if 1 in row.values() or -1 in row.values():
+            buckets.setdefault(len(row), {})[r] = None
     units = 0
-    while heap:
-        cost, r, c = heappop(heap)
-        pivot_row = rows.get(r)
-        if pivot_row is None or pivot_row.get(c) not in (1, -1):
+    while buckets:
+        n = min(buckets)
+        bucket = buckets[n]
+        if not bucket:
+            del buckets[n]
             continue
-        now = (len(pivot_row) - 1) * (len(cols[c]) - 1)
-        if now > cost:
-            heappush(heap, (now, r, c))
-            continue
+        r = next(iter(bucket))
+        del bucket[r]
+        pivot_row = rows.pop(r)
+        c = min((c for c, x in pivot_row.items() if x == 1 or x == -1),
+                key=lambda c: len(cols[c]))
         p = pivot_row.pop(c)
-        del rows[r]
         for c2 in pivot_row:
             cols[c2].discard(r)
         touched = cols.pop(c)
         touched.discard(r)
         for r2 in touched:
             row = rows[r2]
+            if len(row) in buckets:
+                buckets[len(row)].pop(r2, None)
             f = row.pop(c) * p  # p == 1 / p
-            made = []
             for c2, y in pivot_row.items():
                 x = row.get(c2, 0)
                 z = x - f * y
@@ -357,17 +359,13 @@ def _eliminate_units(
                     if not x:
                         cols[c2].add(r2)
                     row[c2] = z
-                    if (z == 1 or z == -1) and x != 1 and x != -1:
-                        made.append(c2)
                 elif x:
                     del row[c2]
                     cols[c2].discard(r2)
             if not row:
                 del rows[r2]
-                continue
-            width = len(row) - 1
-            for c2 in made:
-                heappush(heap, (width * (len(cols[c2]) - 1), r2, c2))
+            elif 1 in row.values() or -1 in row.values():
+                buckets.setdefault(len(row), {})[r2] = None
         for c2 in pivot_row:
             if not cols[c2]:
                 del cols[c2]
@@ -504,9 +502,11 @@ def k_theory(g: DirectedMultigraph) -> KTheoryResult:
         for k in out:
             row = rows[g._dst[k]]
             row[regular] = row.get(regular, 0) + 1
-        rows[i][regular] = rows[i].get(regular, 0) - 1
+        x = rows[i].pop(regular, 0) - 1
+        if x:  # 0 when i has exactly one loop
+            rows[i][regular] = x
         regular += 1
-    factors = invariant_factors(rows)
+    factors = _factors({r: row for r, row in rows.items() if row})
     return KTheoryResult(
         k0_free_rank=len(g.vertices) - len(factors),
         k0_invariant_factors=tuple(d for d in factors if d > 1),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from graphcorners import (
     DirectedMultigraph,
@@ -281,3 +281,29 @@ def layered_potential_text(layers: int = 6, width: int = 120) -> str:
             lines.append(f"edge e{len(lines) - layers * width} v{u} v{w} "
                          f"{level[nxt] - level[layer]}")
     return "\n".join(lines) + "\n"
+
+
+def random_sparse_text(n: int) -> str:
+    """A random multigraph on ``v0..v{n-1}`` with 3n edges ``e{j}``, each
+    drawing its source, then its range, uniformly: at n in the thousands
+    the unit stage of ``invariant_factors`` takes hundreds of pivots and
+    leaves a dense rest about a tenth of n on a side."""
+    rng = random.Random(0)
+    lines = [f"vertex v{i}" for i in range(n)]
+    for j in range(3 * n):
+        v = rng.randrange(n)
+        lines.append(f"edge e{j} v{v} v{rng.randrange(n)}")
+    return "\n".join(lines) + "\n"
+
+
+def rose_chain(petals: Sequence[int], links: int = 1) -> DirectedMultigraph:
+    """Roses r0, r1, ... in a row: r_i carries ``petals[i]`` loops and
+    emits ``links`` edges to r_{i+1}.  A rose with p loops alone has
+    K0 = Z/(p-1); two or more links make the torsion split."""
+    vs = [f"r{i}" for i in range(len(petals))]
+    edges = [(f"l{i}_{j}", v, v)
+             for i, (v, p) in enumerate(zip(vs, petals)) for j in range(p)]
+    edges += [(f"s{i}_{j}", a, b)
+              for i, (a, b) in enumerate(zip(vs, vs[1:]))
+              for j in range(links)]
+    return DirectedMultigraph(vs, edges)

@@ -178,6 +178,20 @@ def test_negative_cap_is_rejected(files, capsys, command, group):
         2, "", "cap must be non-negative\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["closure", "--roots", ","],
+    ["tree", "--roots", ","],
+    ["corner", "--roots", ","],
+    ["corner", "--roots", ",", "--tree-edges", ","],
+    ["fd-dims", "--roots", ","],
+    ["fd-dims", "--roots", ""],
+])
+def test_empty_root_set_is_rejected(files, capsys, argv):
+    path = files("edge1.graph", EDGE1)
+    assert run(capsys, [argv[0], path, *argv[1:]]) == (
+        2, "", "root set must be non-empty\n")
+
+
 def test_corner_name_clash_gets_a_suffix(files, capsys):
     # Both non-tree edges a: r -> b@c and a@b: r -> c would name their
     # corner edge a@b@c; the later one takes the suffix .1.
@@ -584,7 +598,7 @@ def test_cli_import_loads_only_the_package_and_its_stdlib_imports():
     # are imported first; importing the CLI after them may add the
     # package's own modules and nothing else.  So a third-party import or
     # a function-level stdlib import run at import time would show, and
-    # heapq, imported where it is used, must stay unloaded.  ``-S`` keeps
+    # heapq, which no module uses, must stay unloaded.  ``-S`` keeps
     # site's start-up imports out of the picture.  Nor may the package
     # load dataclasses (which brings inspect, ast and dis) or pathlib: for
     # a small graph they would cost more than the command's work.

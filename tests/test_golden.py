@@ -1,5 +1,5 @@
-"""Golden digests of the skew, fixed-point, tree, corner and
-check-kirchhoff commands.
+"""Golden digests of the skew, fixed-point, tree, corner, check-kirchhoff
+and kth commands.
 
 Output is byte-deterministic, so one sha256 per command (and group) pins
 every vertex and edge name, their order and each exit code over the
@@ -27,8 +27,10 @@ from sample_graphs import (
     random_dag,
     random_bfs_tree,
     random_multigraph,
+    random_sparse_text,
     random_vertex_subset,
     rose2,
+    rose_chain,
     single_loop,
     single_vertex,
 )
@@ -214,3 +216,43 @@ def test_big_graph_digest(big_files, graph, command):
         code = main([words[0], str(big_files / f"{graph}.graph"), *words[1:]])
     digest = hashlib.sha256(f"{code}\n{out.getvalue()}".encode())
     assert digest.hexdigest() == BIG_DIGESTS[(graph, command)]
+
+
+# kth over the sample graphs, over chains of roses whose K0 has torsion
+# (cyclic, and split by parallel links), and over a 1000-vertex random
+# multigraph, whose unit stage takes hundreds of pivots before the dense
+# stage runs.  Invariant factors are unique, so these hold whatever
+# order the pivots are taken in.
+KTH_DIGESTS = {
+    "random1000":
+        "4ab31276007bea177b436d31951eec7d43f496d56b997f154681bca0fdbb082d",
+    "roses":
+        "a8ed09cbfb32f12457a896082fc01d21c19ec3b1ed2d6359d090a222c0361a80",
+    "samples":
+        "5c579fb44c35133bf0891d7b3cd002b8013fde20dcb55a4480b32f5a41a8aa0c",
+}
+
+ROSE_CHAINS = [((3,), 1), ((7,), 1), ((3, 5), 2), ((4, 4), 3),
+               ((3, 7, 5), 2), ((7, 7, 7), 3), ((5, 9, 13, 4), 2)]
+
+
+@pytest.fixture(scope="module")
+def kth_files(graph_files, tmp_path_factory):
+    root = tmp_path_factory.mktemp("kth")
+    roses = []
+    for petals, links in ROSE_CHAINS:
+        name = f"roses{'-'.join(map(str, petals))}x{links}"
+        path = root / f"{name}.graph"
+        path.write_text(serialize_graph(rose_chain(petals, links)),
+                        encoding="utf-8")
+        roses.append((name, str(path), None))
+    path = root / "random1000.graph"
+    path.write_text(random_sparse_text(1000), encoding="utf-8")
+    return {"samples": graph_files, "roses": roses,
+            "random1000": [("random1000", str(path), None)]}
+
+
+@pytest.mark.parametrize("files", sorted(KTH_DIGESTS))
+def test_kth_digest(kth_files, files):
+    digest = digest_of(kth_files[files], lambda name, path, g: ["kth", path])
+    assert digest == KTH_DIGESTS[files]

@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,6 +19,7 @@ from graphcorners import (
     hereditary_closure,
     invariant_factors,
     k_theory,
+    parse_graph,
     rational_rank,
     relabelled,
     saturate,
@@ -35,6 +37,7 @@ from sample_graphs import (
     random_bfs_tree,
     random_dag,
     random_multigraph,
+    random_sparse_text,
     random_vertex_subset,
     rose2,
     single_loop,
@@ -153,6 +156,23 @@ def sparse(rows):
     return {i: dict(enumerate(row)) for i, row in enumerate(rows)}
 
 
+def nonzero(rows):
+    """The sparse form stage 1 takes over: no zero entry, no empty row."""
+    return {i: {j: x for j, x in enumerate(row) if x}
+            for i, row in enumerate(rows) if any(row)}
+
+
+def kth_rows(g, monkeypatch):
+    """The sparse matrix ``k_theory`` hands to its stage 1 for g, in the
+    form stage 1 takes over."""
+    got = []
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "_factors", lambda rows: got.append(rows) or ())
+        k_theory(g)
+    assert all(row and all(row.values()) for row in got[0].values())
+    return got[0]
+
+
 def last_bareiss_pivot(rows):
     """|det| of the square submatrix on the pivots that fraction-free
     elimination takes (in each column the first nonzero row left): the
@@ -237,7 +257,7 @@ class TestInvariantFactors:
         assert invariants._rank_and_modulus([[2], [3]], 0) == (1, 1)
         for seed in range(300):
             rows = shaped_matrix(random.Random(seed))
-            units, A = invariants._eliminate_units(sparse(rows))
+            units, A = invariants._eliminate_units(nonzero(rows))
             if not A:
                 continue
             _, g = invariants._rank_and_modulus(A, units)
@@ -245,24 +265,23 @@ class TestInvariantFactors:
             assert last_bareiss_pivot(A) % g == 0, rows
 
     def test_unit_stage_leaves_no_unit(self, monkeypatch):
-        """Stage 1 pushes a unit entry only when it first becomes one; the
-        remainder must still hold none, and lose no rank."""
+        """Stage 1 files a row under its length only while it holds a unit,
+        and re-files each row an update touches; the remainder must still
+        hold no unit, and lose no rank."""
         cases = []
         for seed in range(300):
             rows = shaped_matrix(random.Random(seed))
-            cases.append((sparse(rows),
+            cases.append((nonzero(rows),
                           rational_rank(IntegerMatrix.from_rows(rows))))
         graphs = []
-        monkeypatch.setattr(invariants, "invariant_factors",
-                            lambda rows: graphs.append(rows) or ())
         for seed in range(40):
             rng = random.Random(seed)
             n = rng.randint(100, 400)
             vs = [f"v{i}" for i in range(n)]
-            k_theory(DirectedMultigraph(vs, [
+            graphs.append(kth_rows(DirectedMultigraph(vs, [
                 (f"e{k}", rng.choice(vs), rng.choice(vs))
                 for k in range(3 * n)
-            ]))
+            ]), monkeypatch))
         cases += [(rows, rank_mod_prime(rows)) for rows in graphs]
         for rows, rank in cases:
             units, A = invariants._eliminate_units(rows)
@@ -270,6 +289,26 @@ class TestInvariantFactors:
             assert units + (
                 rational_rank(IntegerMatrix.from_rows(A)) if A else 0
             ) == rank
+
+    def test_argument_left_as_it_is(self, monkeypatch):
+        cases = [sparse(shaped_matrix(random.Random(seed)))
+                 for seed in range(100)]
+        cases.append(kth_rows(parse_graph(random_sparse_text(300)),
+                              monkeypatch))
+        for rows in cases:
+            before = copy.deepcopy(rows)
+            invariant_factors(rows)
+            assert rows == before
+
+    @pytest.mark.parametrize("n,heap_rest", [(1000, (114, 66)),
+                                             (1500, (192, 106))])
+    def test_unit_stage_remainder(self, monkeypatch, n, heap_rest):
+        # The dense rest stays within 1.1x the cells of the rest that a
+        # Markowitz heap of unit candidates left on these graphs, so the
+        # dense stage is not handed a larger block unnoticed.
+        rows = kth_rows(parse_graph(random_sparse_text(n)), monkeypatch)
+        _, A = invariants._eliminate_units(rows)
+        assert len(A) * len(A[0]) <= 1.1 * heap_rest[0] * heap_rest[1]
 
     def test_bit_budget(self, monkeypatch):
         monkeypatch.setattr(invariants, "BIT_BUDGET", 1)
