@@ -55,42 +55,49 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
     if tree.host is not host and tree.host != host:
         raise ValueError("subtree belongs to a different graph")
     vs, names, src, dst = host.vertices, host._names, host._src, host._dst
-    parent_edge, children = tree.parent_edge, tree._children
+    parent_edge, order = tree.parent_edge, tree._order
+    # Each vertex's tree parent, -1 at a root, whose entries at the end
+    # of the lists below stand for the roots' common parent.  Parents
+    # first: each vertex's depth and number of tree children.
+    parent = [src[k] if k >= 0 else -1 for k in parent_edge]
+    depth, fan = [0] * len(vs) + [-1], [0] * (len(vs) + 1)
+    for v in order:
+        p = parent[v]
+        depth[v] = depth[p] + 1
+        fan[p] += 1
     # The corner index of each host vertex, -1 where it is not kept.
     kept = [-1] * len(vs)
     kept_indices: list[int] = []
     for v in tree.spanned_indices:
         out = host._out[v]
-        if not (out and len(children[v]) == len(out)):
+        if not (out and fan[v] == len(out)):
             kept[v] = len(kept_indices)
             kept_indices.append(v)
-
-    # A preorder lists the kept vertices below v as pre[first[v]:last[v]];
-    # ~v on the stack marks the end of v's subtree.
-    pre: list[int] = []
-    first, last, depth = [0] * len(vs), [0] * len(vs), [0] * len(vs)
-    stack = [v for v in tree.spanned_indices if parent_edge[v] < 0]
-    while stack:
-        v = stack.pop()
-        if v < 0:
-            last[~v] = len(pre)
-            continue
-        first[v] = len(pre)
-        if kept[v] >= 0:
-            pre.append(v)
-        stack.append(~v)
-        for w in children[v]:
-            depth[w] = depth[v] + 1
-        stack += children[v]
     # Below any vertex, the kept vertices come by (depth, name), as in
     # descendants(): one order of them all.  Ranked in it, each edge's
     # targets sort without a key.
-    order = sorted(kept_indices, key=tree._vertex_key.__getitem__)
-    order.sort(key=depth.__getitem__)
+    ranked = sorted(kept_indices, key=tree._vertex_key.__getitem__)
+    ranked.sort(key=depth.__getitem__)
     rank = [0] * len(vs)
-    for r, v in enumerate(order):
+    for r, v in enumerate(ranked):
         rank[v] = r
-    pre = [rank[v] for v in pre]
+    # Children first: the number of kept vertices below each vertex.
+    size = [k >= 0 for k in kept] + [0]
+    for v in reversed(order):
+        size[parent[v]] += size[v]
+    # Parents first: each subtree takes the next free slots of its
+    # parent's range, and a kept vertex the first slot of its own, so
+    # pre[first[v]:first[v] + size[v]] ranks the kept vertices below v.
+    pre = [0] * len(kept_indices)
+    first, free = [0] * len(vs), [0] * (len(vs) + 1)
+    for v in order:
+        p = parent[v]
+        first[v] = at = free[p]
+        free[p] += size[v]
+        if kept[v] >= 0:
+            pre[at] = rank[v]
+            at += 1
+        free[v] = at
 
     origin: list[int] = []
     edge_src: list[int] = []
@@ -99,13 +106,14 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
         # A spanned source of a non-tree edge is always kept.
         if kept[s] < 0 or parent_edge[d] == k:
             continue
-        ids = pre[first[d]:last[d]]
+        at, n = first[d], size[d]
+        ids = pre[at:at + n]
         ids.sort()
-        origin += [k] * len(ids)
-        edge_src += [kept[s]] * len(ids)
+        origin += [k] * n
+        edge_src += [kept[s]] * n
         edge_dst += ids
     # Ranks back to corner indices, a block at a time, in place.
-    by_rank = [kept[v] for v in order]
+    by_rank = [kept[v] for v in ranked]
     for b in range(0, len(edge_dst), _BLOCK):
         edge_dst[b:b + _BLOCK] = [by_rank[r] for r in edge_dst[b:b + _BLOCK]]
     kept_names = _Names((vs, kept_indices))

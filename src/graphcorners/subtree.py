@@ -38,11 +38,11 @@ class DirectedSubtree(NamedTuple("DirectedSubtree", [
     tree edge entering vertex v (-1 for roots and unspanned vertices), and
     ``spanned_indices`` is sorted; the roots are the spanned vertices with
     no tree edge.  The name views ``tree_edges``, ``tree_vertices``,
-    ``roots`` and ``parent`` (non-root spanned vertex -> its tree edge) are
-    built on first use and kept in the instance ``__dict__``, which this
-    subclass has for want of ``__slots__``.  Instances come from
-    :func:`validate_subtree` or :func:`build_spanning_subtree` and always
-    satisfy the invariants.
+    ``roots`` and ``parent`` (non-root spanned vertex -> its tree edge),
+    and the parents-first order ``_order``, are built on first use and
+    kept in the instance ``__dict__``, which this subclass has for want
+    of ``__slots__``.  Instances come from :func:`validate_subtree` or
+    :func:`build_spanning_subtree` and always satisfy the invariants.
     """
 
     @cached_property
@@ -82,6 +82,17 @@ class DirectedSubtree(NamedTuple("DirectedSubtree", [
             if k >= 0:
                 children[src[k]].append(v)
         return children
+
+    @cached_property
+    def _order(self) -> list[int]:
+        """The spanned vertices, each after its tree parent.  A tree from
+        :func:`build_spanning_subtree` keeps its BFS queue here; otherwise
+        the roots come first, then their children, breadth first."""
+        children = self._children
+        order = [v for v in self.spanned_indices if self.parent_edge[v] < 0]
+        for v in order:
+            order += children[v]
+        return order
 
 
 def validate_subtree(
@@ -198,20 +209,30 @@ def build_spanning_subtree(
     satisfies the subtree invariants by construction.  With ``indices``,
     the roots are host vertex indices, and no name is looked up.
     """
-    dist = _distances(
-        host, roots if indices else map(host._require_vertex, roots))
-    if not dist:
+    out, dst = host._out, host._dst
+    order = list(dict.fromkeys(
+        roots if indices else map(host._require_vertex, roots)))
+    if not order:
         raise GraphFormatError("root set must be non-empty")
-    depth = [-2] * len(host.vertices)  # -2 + 1 is no vertex's depth
-    for v, d in dist.items():
-        depth[v] = d
     # The edges entering one vertex share the parts of their names read
     # through _dst, so the other parts decide each tie.
-    key = _order_key(host._names, host._dst)
+    key = _order_key(host._names, dst)
+    depth = [-1] * len(host.vertices)
     parent_edge = [-1] * len(host.vertices)
-    for k, (v, w) in enumerate(zip(host._src, host._dst)):
-        if depth[w] == depth[v] + 1:
-            j = parent_edge[w]
-            if j < 0 or key[k] < key[j]:
+    for v in order:
+        depth[v] = 0
+    # The first edge to reach a vertex sets its depth; a later one from
+    # the same level takes its place when its name is smaller.
+    for v in order:
+        d = depth[v] + 1
+        for k in out[v]:
+            w = dst[k]
+            if depth[w] < 0:
+                depth[w] = d
                 parent_edge[w] = k
-    return DirectedSubtree(host, parent_edge, sorted(dist))
+                order.append(w)
+            elif depth[w] == d and key[k] < key[parent_edge[w]]:
+                parent_edge[w] = k
+    tree = DirectedSubtree(host, parent_edge, sorted(order))
+    tree.__dict__["_order"] = order
+    return tree

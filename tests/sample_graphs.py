@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from graphcorners import (
     DirectedMultigraph,
@@ -91,6 +91,15 @@ def random_multigraph(
     return DirectedMultigraph(vs, edges)
 
 
+def odd_names(seed, count: int) -> list[str]:
+    """count distinct names spelt with x, y, '@' and '.', such as x@y,
+    @ or x.@: a corner edge name e@u may then be read in two ways."""
+    rng, names = random.Random(seed), {}
+    while len(names) < count:
+        names["".join(rng.choices("xy@.", k=rng.randint(1, 6)))] = None
+    return list(names)
+
+
 def random_dag(
     rng: random.Random, max_v: int = 8, max_e: int = 14
 ) -> DirectedMultigraph:
@@ -127,6 +136,23 @@ def random_bfs_tree(
         )
         chosen.append(rng.choice(candidates))
     return validate_subtree(g, chosen, root_set)
+
+
+def grown_tree(
+    g: DirectedMultigraph, roots: list[str], take: Callable[[list], int]
+) -> DirectedSubtree:
+    """The subtree a search from the roots grows, validated: it follows
+    the out-edge frontier.pop(take(frontier)) next, and each edge that
+    reaches a new vertex joins the tree."""
+    seen, tree = set(roots), []
+    frontier = [e for v in roots for e in g.out_edges(v)]
+    while frontier:
+        e = frontier.pop(take(frontier))
+        if e.dst not in seen:
+            seen.add(e.dst)
+            tree.append(e.name)
+            frontier += g.out_edges(e.dst)
+    return validate_subtree(g, tree, roots)
 
 
 def enumerate_paths(

@@ -24,7 +24,9 @@ from graphcorners import (
 from sample_graphs import (
     cyc6,
     edge1,
+    grown_tree,
     multiplicity_map,
+    odd_names,
     pqr,
     random_bfs_tree,
     random_dag,
@@ -303,22 +305,16 @@ def corner_oracle(g, t):
     return kept, edges
 
 
-def odd_names(seed, count):
-    """count distinct names spelt with x, y, '@' and '.', such as x@y,
-    @ or x.@: a corner edge name e@u may then be read in two ways."""
-    rng, names = random.Random(seed), {}
-    while len(names) < count:
-        names["".join(rng.choices("xy@.", k=rng.randint(1, 6)))] = None
-    return list(names)
-
-
 @st.composite
 def rooted_subtrees(draw):
     """A multigraph on up to 300 vertices with loops and parallel edges,
     its names plain (v0, e0, ...) or holding '@' and '.', up to six
-    roots, and a subtree spanning their closure grown by a
-    breadth-first, depth-first or random-first search: under the last
-    two a vertex's tree depth may exceed its BFS distance."""
+    roots, and a subtree spanning their closure: the one
+    build_spanning_subtree returns, which keeps its BFS queue as its
+    parents-first order, or one grown by a breadth-first, depth-first or
+    random-first search and validated, whose order is rebuilt from its
+    child lists.  Under the last two a vertex's tree depth may exceed
+    its BFS distance."""
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(1, 300))
     m = rng.randint(n // 2, 3 * n)
@@ -330,21 +326,12 @@ def rooted_subtrees(draw):
         (name, rng.choice(vs), rng.choice(vs)) for name in es
     ])
     roots = rng.sample(vs, rng.randint(1, min(n, 6)))
-    search = draw(st.sampled_from(["random", "depth", "breadth"]))
-    seen, tree = set(roots), []
-    frontier = [e for v in roots for e in g.out_edges(v)]
-    while frontier:
-        if search == "breadth":
-            e = frontier.pop(0)
-        elif search == "depth":
-            e = frontier.pop()
-        else:
-            e = frontier.pop(rng.randrange(len(frontier)))
-        if e.dst not in seen:
-            seen.add(e.dst)
-            tree.append(e.name)
-            frontier += g.out_edges(e.dst)
-    return g, validate_subtree(g, tree, roots)
+    search = draw(st.sampled_from(["random", "depth", "breadth", "builder"]))
+    if search == "builder":
+        return g, build_spanning_subtree(g, roots)
+    take = {"breadth": lambda f: 0, "depth": lambda f: -1,
+            "random": lambda f: rng.randrange(len(f))}[search]
+    return g, grown_tree(g, roots, take)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

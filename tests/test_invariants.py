@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcorners import invariants
 from graphcorners import (
@@ -32,6 +33,7 @@ from sample_graphs import (
     edge1,
     enumerate_paths,
     enumerated_dimension_vector,
+    grown_tree,
     parallel_edges,
     pqr,
     random_bfs_tree,
@@ -501,3 +503,49 @@ class TestFullCornerKTheory:
             assert k_theory(g).k0_invariant_factors
             assert k_theory(corner) == k_theory(g)
         assert checked >= 3
+
+
+@st.composite
+def rooted_hosts(draw):
+    """A multigraph on 2 to 300 vertices, some of them roses with 3 to 7
+    loops (so K0 often has torsion), 1 to 3 roots, and a subtree spanning
+    the roots' closure: the BFS tree build_spanning_subtree returns, or
+    one grown random-first and validated.  A drawn seed drives the rest,
+    which keeps the draws few."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.one_of(st.integers(2, 40), st.integers(100, 300)))
+    vs = [f"v{i}" for i in range(n)]
+    ends = [(rng.choice(vs), rng.choice(vs))
+            for _ in range(rng.randint(n, 3 * n))]
+    for v in rng.sample(vs, rng.randint(0, min(n, 4))):
+        ends += [(v, v)] * rng.randint(3, 7)
+    g = DirectedMultigraph(
+        vs, [(f"e{k}", u, w) for k, (u, w) in enumerate(ends)])
+    roots = rng.sample(vs, rng.randint(1, min(n, 3)))
+    if draw(st.booleans()):
+        return g, roots, build_spanning_subtree(g, roots)
+    return g, roots, grown_tree(g, roots, lambda f: rng.randrange(len(f)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rooted_hosts())
+def test_corner_shares_k_theory_with_the_restriction_to_the_closure(gtr):
+    """K_*(F) = K_*(E restricted to H), H the hereditary closure of the
+    roots X, for every X and every subtree: C*(F) = P_X C*(E) P_X and
+    C*(E restricted to H) = P_H C*(E) P_H are full corners of the ideal
+    P_X generates, so they are stably isomorphic.  The restriction is
+    built here, not by corner or subtree.  Both sides go through
+    k_theory, whose Smith normal form TestInvariantFactors checks
+    against sympy."""
+    g, roots, tree = gtr
+    closure = set(roots)
+    frontier = list(roots)
+    while frontier:
+        for e in g.out_edges(frontier.pop()):
+            if e.dst not in closure:
+                closure.add(e.dst)
+                frontier.append(e.dst)
+    restriction = DirectedMultigraph(
+        [v for v in g.vertices if v in closure],
+        [(e.name, e.src, e.dst) for e in g.edges if e.src in closure])
+    assert k_theory(corner_graph(g, tree).graph) == k_theory(restriction)

@@ -13,12 +13,19 @@ from graphcorners import (
     descendants,
     fixed_point_pipeline,
     hereditary_closure,
+    reachable_skew,
     root_path,
     validate_subtree,
 )
 from graphcorners.subtree import bfs_distances
 
-from sample_graphs import cyc6, pqr, random_bfs_tree, random_multigraph
+from sample_graphs import (
+    cyc6,
+    odd_names,
+    pqr,
+    random_bfs_tree,
+    random_multigraph,
+)
 
 
 class TestValidate:
@@ -302,18 +309,38 @@ class TestBuild:
 
     def test_parents_are_least_named_in_edges_at_scale(self):
         # Edge names are shuffled against their indices, so the least
-        # name is not the first edge met.
+        # name is not the first edge met.  The reachable skews over z3
+        # name their edges e@g as columns, so ties go by order_key.
         rng = random.Random(77)
-        for trial in range(8):
-            n = rng.randint(200, 400)
-            vs = [f"v{i}" for i in range(n)]
-            m = rng.choice([n + n // 2, 3 * n])
-            names = [f"e{k}" for k in range(m)]
-            rng.shuffle(names)
-            g = DirectedMultigraph(vs, [
-                (name, rng.choice(vs), rng.choice(vs)) for name in names
-            ])
-            roots = rng.sample(vs, rng.randint(1, 5))
+        hosts = []
+        for trial in range(14):
+            skew, odd = trial >= 8, trial >= 8 and trial % 2
+            n = rng.randint(120, 160) if skew else rng.randint(200, 400)
+            m = rng.choice([n + n // 2, 2 * n if skew else 3 * n])
+            if odd:
+                vs, names = odd_names(rng.random(), n), odd_names(
+                    rng.random(), m)
+            else:
+                vs = [f"v{i}" for i in range(n)]
+                names = [f"e{k}" for k in range(m)]
+                rng.shuffle(names)
+            edges = {x: (x, rng.choice(vs), rng.choice(vs),
+                         str(rng.randrange(3))) for x in names}
+            if odd:
+                # Names with '@', and a twin x@. beside each edge x: in
+                # the skew, x@.@g and x@g enter one state from one level.
+                # As x@ begins x@.@, the keys come from the formatted
+                # names, where x@.@g is the lesser.
+                edges |= {f"{x}@.": (f"{x}@.", *e[1:])
+                          for x, e in edges.items() if f"{x}@." not in edges}
+            g = DirectedMultigraph(vs, edges.values())
+            if skew:
+                g = reachable_skew(
+                    g, Labelling.from_graph(g, GroupSpec.parse("z3")))
+            hosts.append(g)
+        assert min(len(g.vertices) for g in hosts) >= 200
+        for g in hosts:
+            roots = rng.sample(list(g.vertices), rng.randint(1, 5))
             t = build_spanning_subtree(g, roots)
             dist = bfs_distances(g, roots)
             parent = {
