@@ -2,12 +2,14 @@
 
 Two multigraphs are isomorphic when some vertex bijection carries the
 edge multiplicity matrix of one onto the other's; edge names carry no
-identity.  Backtracking with degree-signature pruning is plenty at the
-sizes this library works with.
+identity.  Backtracking with degree-signature pruning, over the index
+columns and on one explicit stack, is plenty at the sizes this library
+works with.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .multigraph import DirectedMultigraph
@@ -16,18 +18,6 @@ from .multigraph import DirectedMultigraph
 class IsoResult(NamedTuple):
     isomorphic: bool
     witness: dict[str, str] | None = None
-
-
-def _multiplicities(g: DirectedMultigraph) -> dict[str, dict[str, int]]:
-    mult: dict[str, dict[str, int]] = {v: {} for v in g.vertices}
-    for e in g.edges:
-        mult[e.src][e.dst] = mult[e.src].get(e.dst, 0) + 1
-    return mult
-
-
-def _signature(g: DirectedMultigraph, v: str) -> tuple[int, int, int]:
-    loops = sum(1 for e in g.out_edges(v) if e.dst == v)
-    return len(g.out_edges(v)), len(g.in_edges(v)), loops
 
 
 def are_isomorphic(
@@ -42,48 +32,38 @@ def are_isomorphic(
         raise ValueError(
             f"isomorphism size guard exceeded ({max_vertices} vertices)"
         )
-    if n != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+    if n != len(g2.vertices) or len(g1._names) != len(g2._names):
         return IsoResult(False)
 
-    sig1 = {v: _signature(g1, v) for v in g1.vertices}
-    sig2 = {v: _signature(g2, v) for v in g2.vertices}
-    if sorted(sig1.values()) != sorted(sig2.values()):
+    mult1 = Counter(zip(g1._src, g1._dst))
+    mult2 = Counter(zip(g2._src, g2._dst))
+    # A vertex's signature: its out-degree, in-degree and loop count.
+    sig1 = [(len(g1._out[v]), len(g1._in[v]), mult1[v, v]) for v in range(n)]
+    sig2 = [(len(g2._out[w]), len(g2._in[w]), mult2[w, w]) for w in range(n)]
+    if sorted(sig1) != sorted(sig2):
         return IsoResult(False)
 
-    mult1 = _multiplicities(g1)
-    mult2 = _multiplicities(g2)
-    candidates = {
-        v: [w for w in g2.vertices if sig2[w] == sig1[v]]
-        for v in g1.vertices
-    }
-    order = sorted(g1.vertices, key=lambda v: (len(candidates[v]), v))
-
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def consistent(v: str, w: str) -> bool:
-        for u, x in mapping.items():
-            if mult1[v].get(u, 0) != mult2[w].get(x, 0):
-                return False
-            if mult1[u].get(v, 0) != mult2[x].get(w, 0):
-                return False
-        return mult1[v].get(v, 0) == mult2[w].get(w, 0)
-
-    def search(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        for w in candidates[v]:
-            if w in used or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if search(idx + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    if search(0):
-        return IsoResult(True, dict(mapping))
-    return IsoResult(False)
+    candidates = [[w for w in range(n) if sig2[w] == s] for s in sig1]
+    order = [v for _, _, v in sorted(zip(map(len, candidates), g1.vertices,
+                                         range(n)))]
+    # The search maps order[i] to image[i]; stack[i] iterates order[i]'s
+    # untried candidates.  A candidate has the same loop count, so it is
+    # checked against the mapped prefix only, both ways.
+    image, stack = [], []
+    while len(image) < n:
+        v = order[len(image)]
+        if len(stack) == len(image):
+            stack.append(iter(candidates[v]))
+        for w in stack[-1]:
+            if w not in image and all(
+                    mult1[v, u] == mult2[w, x] and mult1[u, v] == mult2[x, w]
+                    for u, x in zip(order, image)):
+                image.append(w)
+                break
+        else:
+            stack.pop()
+            if not stack:
+                return IsoResult(False)
+            image.pop()
+    return IsoResult(True, {g1.vertices[v]: g2.vertices[w]
+                            for v, w in zip(order, image)})

@@ -370,16 +370,16 @@ def kirchhoff_check(
     inside = [True]  # whether element t lies within the bound
     GRAY, BLACK = 1, 2
     color: dict[int, int] = {}
-    parent: dict[int, tuple[int, int]] = {}  # state -> (state, edge)
     saw_out_of_bound = False
+    # Transitions onto the identity are skipped, so no state of element 0
+    # is reached from another: each start state is a root, met once.
     for v0 in range(n):
-        if v0 in color:
-            continue
         color[v0] = GRAY
-        # Each frame holds a state, its element and its unread out-edges.
-        stack = [(v0, 0, iter(out[v0]))]
+        # Each frame holds a state, its element, its unread out-edges and
+        # the edge that entered it: the stack is the path from v0.
+        stack = [(v0, 0, iter(out[v0]), None)]
         while stack:
-            state, t, it = stack[-1]
+            state, t, it, _ = stack[-1]
             for k, w, step, table in it:
                 s = table.get(t)
                 if s is None:
@@ -395,11 +395,16 @@ def kirchhoff_check(
                 nxt = s * n + w
                 mark = color.get(nxt)
                 if mark == GRAY:
-                    return _fail_certificate(host, parent, state, k, nxt)
+                    # nxt is on the stack: the edges entering the frames,
+                    # then k, walk from v0 to nxt and round a cycle to it.
+                    names = host._names
+                    walk = [names[f[3]] for f in stack[1:]] + [names[k]]
+                    i = [f[0] for f in stack].index(nxt)
+                    return KirchhoffResult("FAIL", host.vertices[v0],
+                                           tuple(walk[:i]), tuple(walk[i:]))
                 if mark is None:
                     color[nxt] = GRAY
-                    parent[nxt] = (state, k)
-                    stack.append((nxt, s, iter(out[w])))
+                    stack.append((nxt, s, iter(out[w]), k))
                     break
             else:
                 color[state] = BLACK
@@ -407,26 +412,6 @@ def kirchhoff_check(
     if saw_out_of_bound:
         return KirchhoffResult("UNKNOWN")
     return KirchhoffResult("PASS")
-
-
-def _fail_certificate(host, parent, state, closing_edge, cycle_head):
-    names = host._names
-    cycle_rev = [names[closing_edge]]
-    cur = state
-    while cur != cycle_head:
-        cur, k = parent[cur]
-        cycle_rev.append(names[k])
-    prefix_rev = []
-    cur = cycle_head
-    while cur in parent:
-        cur, k = parent[cur]
-        prefix_rev.append(names[k])
-    return KirchhoffResult(
-        "FAIL",
-        start=host.vertices[cur],  # a start state is its vertex index
-        prefix=tuple(reversed(prefix_rev)),
-        cycle=tuple(reversed(cycle_rev)),
-    )
 
 
 def cycle_labels_trivial(

@@ -15,6 +15,7 @@ from graphcorners import (
     DirectedMultigraph,
     DirectedSubtree,
     Labelling,
+    relabelled,
     validate_subtree,
 )
 from graphcorners.subtree import bfs_distances
@@ -79,6 +80,19 @@ def parallel_edges(n: int) -> DirectedMultigraph:
     )
 
 
+def cycles(*lengths: int) -> DirectedMultigraph:
+    """Disjoint directed cycles of the given lengths, on vertices c{i}_{j}
+    (cycle i, place j): every vertex has one edge in and one out, so
+    cycles(3, 3) and cycles(6) agree on every vertex's degrees."""
+    vs, edges = [], []
+    for i, length in enumerate(lengths):
+        ring = [f"c{i}_{j}" for j in range(length)]
+        vs += ring
+        edges += [(f"e{u[1:]}", u, w)
+                  for u, w in zip(ring, ring[1:] + ring[:1])]
+    return DirectedMultigraph(vs, edges)
+
+
 def random_multigraph(
     rng: random.Random, max_v: int = 6, max_e: int = 10
 ) -> DirectedMultigraph:
@@ -89,6 +103,22 @@ def random_multigraph(
         (f"e{k}", rng.choice(vs), rng.choice(vs)) for k in range(m)
     ]
     return DirectedMultigraph(vs, edges)
+
+
+def shuffled_copy(g: DirectedMultigraph, rng: random.Random,
+                  rewire: bool = False) -> DirectedMultigraph:
+    """An isomorph of g: its vertices renamed w0, w1, ... at random, and
+    its vertices and edges reordered.  With ``rewire``, the first edge
+    then takes a random range, which may break the isomorphism."""
+    names = [f"w{i}" for i in range(len(g.vertices))]
+    rng.shuffle(names)
+    h = relabelled(g, dict(zip(g.vertices, names)))
+    vertices, edges = list(h.vertices), list(h.edges)
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    if rewire and edges:
+        edges[0] = edges[0]._replace(dst=rng.choice(vertices))
+    return DirectedMultigraph(vertices, edges)
 
 
 def odd_names(seed, count: int) -> list[str]:
@@ -309,16 +339,20 @@ def layered_potential_text(layers: int = 6, width: int = 120) -> str:
     return "\n".join(lines) + "\n"
 
 
-def random_sparse_text(n: int) -> str:
+def random_sparse_text(n: int, labels: int = 0) -> str:
     """A random multigraph on ``v0..v{n-1}`` with 3n edges ``e{j}``, each
     drawing its source, then its range, uniformly: at n in the thousands
     the unit stage of ``invariant_factors`` takes hundreds of pivots and
-    leaves a dense rest about a tenth of n on a side."""
+    leaves a dense rest about a tenth of n on a side.  With ``labels``,
+    each edge then draws a label in ``range(labels)``: under z5 at
+    n=3000 the voltage law fails, with a certificate of hundreds of
+    edges."""
     rng = random.Random(0)
     lines = [f"vertex v{i}" for i in range(n)]
     for j in range(3 * n):
         v = rng.randrange(n)
-        lines.append(f"edge e{j} v{v} v{rng.randrange(n)}")
+        lines.append(f"edge e{j} v{v} v{rng.randrange(n)}"
+                     + (f" {rng.randrange(labels)}" if labels else ""))
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,5 @@
-"""Golden digests of the skew, fixed-point, tree, corner, check-kirchhoff
-and kth commands.
+"""Golden digests of the skew, fixed-point, tree, corner, check-kirchhoff,
+iso and kth commands.
 
 Output is byte-deterministic, so one sha256 per command (and group) pins
 every vertex and edge name, their order and each exit code over the
@@ -20,6 +20,7 @@ from graphcorners.cli import main
 from sample_graphs import (
     big_dag_text,
     cyc6,
+    cycles,
     edge1,
     layered_potential_text,
     parallel_edges,
@@ -31,6 +32,7 @@ from sample_graphs import (
     random_vertex_subset,
     rose2,
     rose_chain,
+    shuffled_copy,
     single_loop,
     single_vertex,
 )
@@ -185,10 +187,67 @@ def test_kirchhoff_digest(graph_files, options, group):
     assert digest == KIRCHHOFF_DIGESTS[(options, group)]
 
 
+# iso over pairs of graphs: each sample graph against itself, against a
+# copy with its vertices renamed and its vertices and edges reordered
+# (the witness printed pins the search order), and against such a copy
+# with one edge's range moved; and pairs whose vertex degrees and loop
+# counts all agree but which are not isomorphic, so the search
+# backtracks and fails.
+ISO_DIGESTS = {
+    "itself":
+        "eb3f0fb866956af8cb09233972450d033785831376a571b6d7dc6a755007d8c5",
+    "renamed":
+        "a80112443d7473521da61712fadca6dda5e167f6ec21d563eaf184ccfccb6937",
+    "rewired":
+        "bf7c71dca25389ed91a8d8fcc44a2436030424ac131b51184276febe3edb0994",
+    "signature-equal":
+        "5f21bf16872047221fa115daf8cee9b120f484d578e85e7d3690dd44aaa0ff5d",
+}
+
+
+SIGNATURE_EQUAL = {
+    "2xC3-C6": (cycles(3, 3), cycles(6)),
+    "4xC3-3xC4": (cycles(3, 3, 3, 3), cycles(4, 4, 4)),
+    "C3+C4-C7": (cycles(3, 4), cycles(7)),
+    "2xC2-C4": (cycles(2, 2), cycles(4)),
+}
+
+
+@pytest.fixture(scope="module")
+def iso_pairs(graph_files, tmp_path_factory):
+    root = tmp_path_factory.mktemp("iso")
+
+    def write(name, g):
+        path = root / f"{name}.graph"
+        path.write_text(serialize_graph(g), encoding="utf-8")
+        return str(path)
+
+    pairs = {"itself": [(name, path, path) for name, path, _ in graph_files],
+             "signature-equal": []}
+    for kind in ("renamed", "rewired"):
+        pairs[kind] = [(name, path, write(f"{name}-{kind}", shuffled_copy(
+            g, random.Random(f"iso {name}"), kind == "rewired")))
+            for name, path, g in graph_files]
+    for name, (g, h) in SIGNATURE_EQUAL.items():
+        a, b = write(f"{name}-a", g), write(f"{name}-b", h)
+        pairs["signature-equal"] += [(name, a, b), (f"{name}-back", b, a)]
+    return pairs
+
+
+@pytest.mark.parametrize("pairs", sorted(ISO_DIGESTS))
+def test_iso_digest(iso_pairs, pairs):
+    digest = digest_of(iso_pairs[pairs], lambda name, a, b: ["iso", a, b])
+    assert digest == ISO_DIGESTS[pairs]
+
+
 # Whole-size jobs: a deep 1,500-vertex DAG labelled in z5, whose corner
-# at v0 prints 58k lines, and a 720-vertex layered graph labelled in z
-# by potential differences.
+# at v0 prints 58k lines, a 720-vertex layered graph labelled in z by
+# potential differences, and a 3,000-vertex random multigraph labelled
+# in z5, whose voltage-law certificate has a 162-edge prefix and a
+# 56-edge cycle.
 BIG_DIGESTS = {
+    ("baseline", "check-kirchhoff --group z5"):
+        "685593e898d1b3e5ddccb68bb67af117a2344929381d8e19ac90e25edf237ed7",
     ("dag", "corner --roots v0"):
         "3c3bc40f0b9137ea223f38f05f206c7316788c1c6be53e7003cf925c19d5b630",
     ("dag", "fixed-point --group z5"):
@@ -202,7 +261,8 @@ BIG_DIGESTS = {
 def big_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("big")
     texts = {"dag": big_dag_text(1500, 50),
-             "layered": layered_potential_text()}
+             "layered": layered_potential_text(),
+             "baseline": random_sparse_text(3000, labels=5)}
     for name, text in texts.items():
         (root / f"{name}.graph").write_text(text, encoding="utf-8")
     return root

@@ -11,12 +11,15 @@ from graphcorners import (
     BitBudgetExceededError,
     DirectedMultigraph,
     GraphFormatError,
+    GroupSpec,
     IntegerMatrix,
     KTheoryResult,
+    Labelling,
     build_spanning_subtree,
     corner_dimension_vector,
     corner_graph,
     fd_dimension_vector,
+    fixed_point_pipeline,
     hereditary_closure,
     invariant_factors,
     k_theory,
@@ -505,23 +508,33 @@ class TestFullCornerKTheory:
         assert checked >= 3
 
 
-@st.composite
-def rooted_hosts(draw):
-    """A multigraph on 2 to 300 vertices, some of them roses with 3 to 7
-    loops (so K0 often has torsion), 1 to 3 roots, and a subtree spanning
-    the roots' closure: the BFS tree build_spanning_subtree returns, or
-    one grown random-first and validated.  A drawn seed drives the rest,
-    which keeps the draws few."""
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    n = draw(st.one_of(st.integers(2, 40), st.integers(100, 300)))
+def host_with_roses(rng: random.Random, n: int, labels: int = 0
+                    ) -> DirectedMultigraph:
+    """A multigraph on n vertices with n to 3n edges, up to four of its
+    vertices roses with 3 to 7 loops (so K0 often has torsion); with
+    ``labels``, each edge then draws a label in ``range(labels)``."""
     vs = [f"v{i}" for i in range(n)]
     ends = [(rng.choice(vs), rng.choice(vs))
             for _ in range(rng.randint(n, 3 * n))]
     for v in rng.sample(vs, rng.randint(0, min(n, 4))):
         ends += [(v, v)] * rng.randint(3, 7)
-    g = DirectedMultigraph(
-        vs, [(f"e{k}", u, w) for k, (u, w) in enumerate(ends)])
-    roots = rng.sample(vs, rng.randint(1, min(n, 3)))
+    marks = [str(rng.randrange(labels)) if labels else None for _ in ends]
+    return DirectedMultigraph(vs, [
+        (f"e{k}", u, w, mark) for k, ((u, w), mark)
+        in enumerate(zip(ends, marks))])
+
+
+@st.composite
+def rooted_hosts(draw):
+    """A host_with_roses on 2 to 300 vertices, 1 to 3 roots, and a
+    subtree spanning the roots' closure: the BFS tree
+    build_spanning_subtree returns, or one grown random-first and
+    validated.  A drawn seed drives the rest, which keeps the draws
+    few."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.one_of(st.integers(2, 40), st.integers(100, 300)))
+    g = host_with_roses(rng, n)
+    roots = rng.sample(g.vertices, rng.randint(1, min(n, 3)))
     if draw(st.booleans()):
         return g, roots, build_spanning_subtree(g, roots)
     return g, roots, grown_tree(g, roots, lambda f: rng.randrange(len(f)))
@@ -549,3 +562,26 @@ def test_corner_shares_k_theory_with_the_restriction_to_the_closure(gtr):
         [v for v in g.vertices if v in closure],
         [(e.name, e.src, e.dst) for e in g.edges if e.src in closure])
     assert k_theory(corner_graph(g, tree).graph) == k_theory(restriction)
+
+
+@st.composite
+def labelled_hosts(draw):
+    """A host_with_roses on 2 to 40 or 100 to 300 vertices, its edges
+    labelled in z3.  A drawn seed drives the rest."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.one_of(st.integers(2, 40), st.integers(100, 300)))
+    return host_with_roses(rng, n, labels=3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(labelled_hosts())
+def test_fixed_point_corner_shares_k_theory_with_the_reachable_skew(g):
+    """The fixed-point graph is the corner of the skew product along a
+    subtree rooted at the identity fibre, and the reachable skew is the
+    skew product restricted to that fibre's hereditary closure; so, as
+    in the property above, both have the same K-theory.  Both sides go
+    through k_theory, whose Smith normal form TestInvariantFactors
+    checks against sympy."""
+    c = Labelling.from_graph(g, GroupSpec.parse("z3"))
+    result = fixed_point_pipeline(g, c)
+    assert k_theory(result.corner.graph) == k_theory(result.skew)

@@ -82,6 +82,9 @@ class TestGroupSpec:
         assert els[0] == (0, 0) and els[-1] == (1, 2)
         with pytest.raises(ValueError):
             list(GroupSpec.parse("z").elements())
+        for text in ("z", "z3,z"):
+            with pytest.raises(ValueError, match="group is infinite"):
+                GroupSpec.parse(text).order
 
     def test_encodings(self):
         g = GroupSpec.parse("z,z2")
@@ -136,6 +139,17 @@ class TestLabelling:
         g = DirectedMultigraph(["a"], [("e", "a", "a")])
         with pytest.raises(GraphFormatError, match="'typo'"):
             Labelling.from_map(g, GroupSpec.parse("z5"), {"e": 1, "typo": 1})
+
+
+@pytest.mark.parametrize("entry", [
+    skew_product, reachable_skew, kirchhoff_check, cycle_labels_trivial,
+    fixed_point_pipeline,
+], ids=lambda f: f.__name__)
+def test_labelling_of_another_graph_is_refused(entry):
+    _, c = rose2_z3()
+    assert entry(rose2(), c) is not None  # an equal copy of the host
+    with pytest.raises(ValueError, match="belongs to a different graph"):
+        entry(single_loop("1"), c)
 
 
 class TestPathLabel:

@@ -283,6 +283,25 @@ class TestStructure:
         h = DirectedMultigraph(["b", "a"])
         assert g != h
 
+    def test_repr_and_equality_with_other_objects(self):
+        g = cyc6()
+        assert repr(g) == "DirectedMultigraph(3 vertices, 6 edges)"
+        assert g.__eq__(g.vertices) is NotImplemented
+        assert g != "cyc6" and g != g.vertices
+
+    def test_derived_names_slice_and_print_as_tuples(self):
+        g = pqr(2, 1, 1)
+        skew = skew_product(g, Labelling.from_graph(g, GroupSpec.parse("z3")))
+        names = tuple(skew.vertices)
+        for part in (slice(2, 5), slice(None, None, 2), slice(-3, None),
+                     slice(4, 1, -1), slice(7, 7)):
+            assert skew.vertices[part] == names[part]
+            assert tuple(skew.vertices[part]) == names[part]
+            assert repr(skew.vertices[part]) == repr(names[part])
+        assert skew.vertices[1:][2:4] == names[1:][2:4]
+        assert repr(skew.vertices) == repr(names)
+        assert repr(skew._names) == repr(tuple(e.name for e in skew.edges))
+
 
 class TestAcyclic:
     def test_edge1(self):

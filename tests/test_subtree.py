@@ -170,6 +170,11 @@ class TestDescendants:
         t = validate_subtree(pqr(1, 1, 1), ["e", "f"], ["u"])
         assert set(descendants(t, "v")) == {"v", "w"}
 
+    def test_vertex_outside_the_subtree(self):
+        t = validate_subtree(pqr(1, 1, 1), ["f"], ["v"])
+        with pytest.raises(GraphFormatError, match="'u' not in the subtree"):
+            descendants(t, "u")
+
 
 class TestTreeLaws:
     def _random_tree(self, seed):
