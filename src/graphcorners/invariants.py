@@ -19,7 +19,6 @@ from .multigraph import (
     DirectedMultigraph,
     GraphFormatError,
     _kahn,
-    _successors,
 )
 
 # The dense stage of ``invariant_factors`` gives up once one of its entries
@@ -532,7 +531,7 @@ def corner_dimension_vector(
     Counted by dynamic programming in topological order, each distinct
     root seeding its length-0 path; sinks no root reaches are dropped.
     """
-    order = _kahn(_successors(g))
+    order = _kahn(g._out, g._dst)
     if len(order) != len(g.vertices):
         raise GraphFormatError("graph has a cycle")
     root_set = {g._require_vertex(v) for v in roots}

@@ -13,7 +13,7 @@ the skew states (v, g): from every state, or from the identity fibre.
 from __future__ import annotations
 
 import re
-from itertools import product
+from itertools import count, product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .corner import CornerGraph, corner_graph
@@ -198,29 +198,29 @@ def _fast_op(group: GroupSpec) -> Callable[[Element, Element], Element]:
     )
 
 
-def _numbering(c: Labelling, negate: bool) -> tuple:
-    """Group elements numbered as they are first met, the identity first.
+def _numbering(c: Labelling, negate: bool,
+               elements: list[Element] | None = None) -> tuple:
+    """Group elements numbered as they are first met, after ``elements``
+    (by default the identity alone), and a step table per host edge e:
+    it maps t to the number of elements[t] + c(e), or - c(e) with
+    ``negate``.  Edges with equal labels share a table.  Returns the
+    elements, the tables and step(k, t), which fills entry t of edge k's
+    table and returns it."""
+    elements = elements or [c.group.identity]
+    numbers = dict(zip(elements, range(len(elements))))
+    add = _fast_op(c.group)
+    labels = list(map(c.by_edge.__getitem__, c.host._names))
+    operand = {g: c.group.inverse(g) if negate else g for g in set(labels)}
+    tables = list(map({g: {} for g in operand}.__getitem__, labels))
 
-    Returns the list of elements, the function that numbers an element
-    and, per host vertex v, a tuple (e, range of e, operand, table) per
-    edge e leaving v: the operand is c(e), or -c(e) with ``negate``, and
-    the table maps t to the number of elements[t] + operand, filled by
-    the caller on first use.  Edges with equal labels share the last two.
-    """
-    elements: list[Element] = [c.group.identity]
-    numbers: dict[Element, int] = {c.group.identity: 0}
-
-    def number(g: Element) -> int:
-        i = numbers.setdefault(g, len(elements))
-        if i == len(elements):
+    def step(k: int, t: int) -> int:
+        g = add(operand[labels[k]], elements[t])
+        s = tables[k][t] = numbers.setdefault(g, len(elements))
+        if s == len(elements):
             elements.append(g)
-        return i
+        return s
 
-    pairs = {label: (c.group.inverse(label) if negate else label, {})
-             for label in set(c.by_edge.values())}
-    steps = [pairs[c.by_edge[e]] for e in c.host._names]
-    return elements, number, [[(k, c.host._dst[k], *steps[k]) for k in ks]
-                              for ks in c.host._out]
+    return elements, tables, step
 
 
 def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
@@ -236,11 +236,11 @@ def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
             "skew product of an infinite group is infinite; "
             "use reachable_skew"
         )
+    # Numbered in lexicographic order, elements sort the edges by (e, g).
     elements = list(group.elements())
-    seeds = [(v, g) for v in range(len(host.vertices)) for g in elements]
-    # The seeds number the elements in lexicographic order, so sorting by
-    # (host edge, element number) sorts by (e, g).
-    return _explore(host, c, seeds, len(seeds), by_edge=True)
+    n = len(host.vertices)
+    seeds = [t * n + v for v in range(n) for t in range(len(elements))]
+    return _explore(host, c, seeds, len(seeds), elements)
 
 
 def reachable_skew(
@@ -261,66 +261,69 @@ def reachable_skew(
         cap = len(host.vertices) * group.order
     elif cap < len(host.vertices):
         raise ValueError("cap must be at least the host vertex count")
-    seeds = [(v, group.identity) for v in range(len(host.vertices))]
-    return _explore(host, c, seeds, cap)
+    return _explore(host, c, range(len(host.vertices)), cap)
 
 
 def _explore(
-    host: DirectedMultigraph, c: Labelling, seeds: list, cap: int,
-    by_edge: bool = False,
+    host: DirectedMultigraph, c: Labelling, seeds: Iterable[int], cap: int,
+    elements: list[Element] | None = None,
 ) -> DirectedMultigraph:
     """The skew graph found by a breadth-first walk over the skew states
-    (v, g) from ``seeds``, given as (vertex index, element) pairs.
+    (v, g) from ``seeds``, each packed as t*n + v, t the number of g.
 
     States are numbered in discovery order; elements in the order they
-    are first met, seeds first.  Skew edges come in the order their
-    sources are dequeued, or sorted by (host edge, element number) with
-    ``by_edge``.  Needing more than ``cap`` states raises
-    CapExceededError.  The names ``v@g`` and ``e@g`` are name columns
-    over the host's names and the element encodings.  Without
-    ``by_edge``, each state's out-edges are one run, handed over as
-    ``_out``, a list of ranges.
+    are first met, after ``elements`` (by default the identity alone).
+    Skew edges come in the order their sources are dequeued or, given
+    ``elements``, sorted by (host edge, element number).  Needing more
+    than ``cap`` states raises CapExceededError.  The names ``v@g`` and
+    ``e@g`` are name columns over the host's names and the element
+    encodings.  Without ``elements``, each state's out-edges are one
+    run, handed over as ``_out``, a list of ranges.
     """
+    by_edge = elements is not None
     # The edge (e, s) runs from (s(e), c(e)+s), so the edges leaving the
     # state (v, t) have s = t - c(e).
-    elements, number, out = _numbering(c, negate=True)
-    add = _fast_op(c.group)
+    elements, tables, step = _numbering(c, negate=True, elements=elements)
     n = len(host.vertices)
-    states = [(v, number(g)) for v, g in seeds]
-    state_of = {t * n + v: i for i, (v, t) in enumerate(states)}
+    out, ends = host._out, host._dst
+    # State i is (vs[i], ts[i]), found under its packed key t*n + v.
+    state_of = dict(zip(seeds, count()))
+    vs = [key % n for key in state_of]
+    ts = [key // n for key in state_of]
     # The skew edge (e, s) from state i to state j, as three columns: its
     # element s is its range's.  The edges of state i start at starts[i].
     se: list[int] = []
     src: list[int] = []
     dst: list[int] = []
     starts: list[int] = []
-    for i, (v, t) in enumerate(states):
+    for i, v in enumerate(vs):
+        t = ts[i]
         starts.append(len(dst))
-        for k, w, step, table in out[v]:
-            s = table.get(t)
+        for k in out[v]:
+            s = tables[k].get(t)
             if s is None:
-                s = table[t] = number(add(step, elements[t]))
-            j = state_of.get(s * n + w)
+                s = step(k, t)
+            j = state_of.get(nxt := s * n + ends[k])
             if j is None:
-                if len(states) >= cap:
+                if len(vs) >= cap:
                     raise CapExceededError(
                         f"closure exceeds cap {cap}: needs more than "
                         f"{cap} vertices"
                     )
-                j = state_of[s * n + w] = len(states)
-                states.append((w, s))
+                j = state_of[nxt] = len(vs)
+                vs.append(ends[k])
+                ts.append(s)
             se.append(k)
             src.append(i)
             dst.append(j)
-    st = [t for _, t in states]
     if by_edge:
-        key = [k * len(elements) + st[j] for k, j in zip(se, dst)]
+        key = [k * len(elements) + ts[j] for k, j in zip(se, dst)]
         order = sorted(range(len(key)), key=key.__getitem__)
         se, src, dst = ([col[x] for x in order] for col in (se, src, dst))
     encs = list(map(c.group.name_encode, elements))
     g = DirectedMultigraph._from_indices(
-        _Names((host.vertices, [v for v, _ in states]), (encs, st)),
-        _Names((host._names, se), (_Names((encs, st)), dst)), src, dst,
+        _Names((host.vertices, vs), (encs, ts)),
+        _Names((host._names, se), (_Names((encs, ts)), dst)), src, dst,
     )
     if not by_edge:
         starts.append(len(dst))
@@ -364,9 +367,9 @@ def kirchhoff_check(
     infinite = [i for i, m in enumerate(c.group.moduli) if m == 0]
     # The state (v, t) is the int t*n + v, t an element number; the
     # identity is element 0, so the start states are the vertex indices.
-    elements, number, out = _numbering(c, negate=False)
-    add = _fast_op(c.group)
+    elements, tables, step = _numbering(c, negate=False)
     n = len(host.vertices)
+    out, ends = host._out, host._dst
     inside = [True]  # whether element t lies within the bound
     GRAY, BLACK = 1, 2
     color: dict[int, int] = {}
@@ -380,10 +383,10 @@ def kirchhoff_check(
         stack = [(v0, 0, iter(out[v0]), None)]
         while stack:
             state, t, it, _ = stack[-1]
-            for k, w, step, table in it:
-                s = table.get(t)
+            for k in it:
+                s = tables[k].get(t)
                 if s is None:
-                    s = table[t] = number(add(step, elements[t]))
+                    s = step(k, t)
                     if s == len(inside):
                         inside.append(all(abs(elements[s][i]) <= bound
                                           for i in infinite))
@@ -392,7 +395,7 @@ def kirchhoff_check(
                 if not inside[s]:
                     saw_out_of_bound = True
                     continue
-                nxt = s * n + w
+                nxt = s * n + ends[k]
                 mark = color.get(nxt)
                 if mark == GRAY:
                     # nxt is on the stack: the edges entering the frames,
@@ -404,7 +407,7 @@ def kirchhoff_check(
                                            tuple(walk[:i]), tuple(walk[i:]))
                 if mark is None:
                     color[nxt] = GRAY
-                    stack.append((nxt, s, iter(out[w]), k))
+                    stack.append((nxt, s, iter(out[ends[k]]), k))
                     break
             else:
                 color[state] = BLACK

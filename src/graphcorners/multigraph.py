@@ -529,32 +529,29 @@ def to_dot(g: DirectedMultigraph) -> str:
     return "".join(_dot_blocks(g))
 
 
-def _kahn(successors: list[list[int]]) -> list[int]:
-    """Kahn's algorithm over the nodes 0..n-1, given their successors.
+def _kahn(out: Sequence[Sequence[int]], ends: Sequence[int]) -> list[int]:
+    """Kahn's algorithm over the nodes 0..n-1, given each node's edges
+    in ``out`` and each edge's far end in ``ends``.
 
     Returns the nodes in topological order; on a cycle the list stops
     short of the nodes on or behind it.
     """
-    indeg = [0] * len(successors)
-    for ws in successors:
-        for w in ws:
-            indeg[w] += 1
+    indeg = [0] * len(out)
+    for ks in out:
+        for k in ks:
+            indeg[ends[k]] += 1
     order = [v for v, d in enumerate(indeg) if d == 0]
     for v in order:
-        for w in successors[v]:
-            indeg[w] -= 1
+        for k in out[v]:
+            indeg[w := ends[k]] -= 1
             if indeg[w] == 0:
                 order.append(w)
     return order
 
 
-def _successors(g: DirectedMultigraph) -> list[list[int]]:
-    return [[g._dst[k] for k in out] for out in g._out]
-
-
 def is_acyclic(g: DirectedMultigraph) -> bool:
     """True iff the graph contains no directed cycle."""
-    return len(_kahn(_successors(g))) == len(g.vertices)
+    return len(_kahn(g._out, g._dst)) == len(g.vertices)
 
 
 def _distances(g: DirectedMultigraph, roots: Iterable[int]) -> dict[int, int]:

@@ -117,7 +117,7 @@ def validate_subtree(
     violations: list[str] = []
 
     incoming: dict[int, list[str]] = {}
-    children: list[list[int]] = [[] for _ in vs]
+    child_edges: list[list[int]] = [[] for _ in vs]
     for k in edges:
         outside = [w for w in (src[k], dst[k]) if w not in closure]
         for w in outside:
@@ -126,7 +126,7 @@ def validate_subtree(
                 f"spanned vertex set"
             )
         if not outside:
-            children[src[k]].append(dst[k])
+            child_edges[src[k]].append(k)
         incoming.setdefault(dst[k], []).append(names[k])
 
     for v in sorted(incoming, key=vs.__getitem__):
@@ -151,8 +151,8 @@ def validate_subtree(
                 f"tree edge"
             )
 
-    # No child list holds a vertex outside the closure: Kahn passes them.
-    if len(_kahn(children)) != len(vs):
+    # No child edge ends outside the closure: Kahn passes those vertices.
+    if len(_kahn(child_edges, dst)) != len(vs):
         violations.append("cycle among tree edges")
 
     if violations:

@@ -143,15 +143,27 @@ def graph_files(tmp_path_factory):
     return files
 
 
-def digest_of(graph_files, argv_of) -> str:
-    digest = hashlib.sha256()
+def runs_of(graph_files, argv_of) -> list[tuple[str, int, str]]:
+    """Each file's name, exit code and standard output."""
+    runs = []
     for name, path, g in graph_files:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv_of(name, path, g))
-        digest.update(f"{name} {code}\n{out.getvalue()}".encode())
+        runs.append((name, code, out.getvalue()))
+    return runs
+
+
+def digest_runs(runs) -> str:
+    digest = hashlib.sha256()
+    for name, code, out in runs:
+        digest.update(f"{name} {code}\n{out}".encode())
     return digest.hexdigest()
+
+
+def digest_of(graph_files, argv_of) -> str:
+    return digest_runs(runs_of(graph_files, argv_of))
 
 
 @pytest.mark.parametrize("command,group", sorted(DIGESTS))
@@ -185,6 +197,59 @@ def test_kirchhoff_digest(graph_files, options, group):
         ["check-kirchhoff", path, "--group", group] + options.split()
     ))
     assert digest == KIRCHHOFF_DIGESTS[(options, group)]
+
+
+# The sample graphs with two-coordinate labels: each label keeps its
+# coordinate (an unlabelled edge takes 0) and gains a random second, so
+# these pin product groups, the lexicographic numbering of their
+# elements and, under ``z,z2``, steps infinite in one factor and finite
+# in the other.
+MULTI_DIGESTS = {
+    ("check-kirchhoff", "z,z2"):
+        "ee2ef33910deb68369e4bfa139b2f311d4091065e257a65a77bf06c6990cc468",
+    ("check-kirchhoff", "z2,z3"):
+        "addafb8df0d2926b3c973ba38ceefd2a3eb9df09b412fcb139b7573f845205ee",
+    ("fixed-point", "z,z2"):
+        "6b753ea56588633b64f10ad4cc56bfdee2ad66f5a92d3604a87e0436f8f2f805",
+    ("fixed-point", "z2,z3"):
+        "8e9d64e86288b81942e4434d85aa7ab9161528bf66742c04c027ba38c2789ca4",
+    ("skew", "z,z2"):
+        "94bd13d3bf438294a7f396906f3c5e5317ea4bc1418fb1b0be08096a261c742c",
+    ("skew", "z2,z3"):
+        "2f26d83f731cf82c8d5248c887a3adf5c0d725f8a14c9bfb1063391372dcbc12",
+}
+
+
+def two_coordinates(g: DirectedMultigraph,
+                    rng: random.Random) -> DirectedMultigraph:
+    return DirectedMultigraph(g.vertices, [
+        e._replace(label=f"{e.label or 0},{rng.randint(-2, 3)}")
+        for e in g.edges
+    ])
+
+
+@pytest.fixture(scope="module")
+def multi_files(graph_files, tmp_path_factory):
+    root = tmp_path_factory.mktemp("multi")
+    files = []
+    for name, _, g in graph_files:
+        g = two_coordinates(g, random.Random(f"second {name}"))
+        path = root / f"{name}.graph"
+        path.write_text(serialize_graph(g), encoding="utf-8")
+        files.append((name, str(path), g))
+    return files
+
+
+@pytest.mark.parametrize("command,group", sorted(MULTI_DIGESTS))
+def test_multi_factor_digest(multi_files, command, group):
+    cap = [] if command == "check-kirchhoff" else ["--cap", CAP]
+    runs = runs_of(multi_files, lambda name, path, g: (
+        [command, path, "--group", group] + cap
+    ))
+    if command == "check-kirchhoff":
+        # A FAIL certificate is among the outputs pinned.
+        assert any(out.startswith("FAIL\n") for _, _, out in runs)
+    assert digest_runs(runs) == MULTI_DIGESTS[(command, group)]
 
 
 # iso over pairs of graphs: each sample graph against itself, against a

@@ -13,6 +13,7 @@ from graphcorners import (
     GroupSpec,
     Labelling,
     Path,
+    SubtreeValidationError,
     build_spanning_subtree,
     corner_graph,
     fixed_point_pipeline,
@@ -27,6 +28,7 @@ from graphcorners import (
     serialize_graph,
     skew_product,
     to_dot,
+    validate_subtree,
 )
 from graphcorners import multigraph
 from graphcorners.cli import _Positional
@@ -312,6 +314,39 @@ class TestAcyclic:
 
     def test_cyc6(self):
         assert not is_acyclic(cyc6())
+
+    def test_matches_networkx_on_random_multigraphs(self):
+        # Loops and parallel edges included.  The tree edges are a random
+        # subset of the edges: a cycle among them lies wholly inside the
+        # hereditary closure of the roots or wholly outside it, and only
+        # one inside is a "cycle among tree edges" (one outside has its
+        # endpoints reported instead).
+        nx = pytest.importorskip("networkx")
+        seen = set()
+        for seed in range(400):
+            rng = random.Random(seed)
+            g = random_multigraph(rng, max_v=7, max_e=12)
+            ref = nx.MultiDiGraph()
+            ref.add_nodes_from(g.vertices)
+            ref.add_edges_from((e.src, e.dst, e.name) for e in g.edges)
+            acyclic = nx.is_directed_acyclic_graph(ref)
+            assert is_acyclic(g) == acyclic
+            roots = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
+            closure = set(roots).union(*(nx.descendants(ref, r)
+                                         for r in roots))
+            tree = [e for e in g.edges if rng.random() < 0.5]
+            inside = nx.MultiDiGraph()
+            inside.add_edges_from((e.src, e.dst) for e in tree
+                                  if e.src in closure and e.dst in closure)
+            cycle = not nx.is_directed_acyclic_graph(inside)
+            try:
+                validate_subtree(g, [e.name for e in tree], roots)
+                violations = []
+            except SubtreeValidationError as exc:
+                violations = exc.violations
+            assert ("cycle among tree edges" in violations) == cycle
+            seen.add((acyclic, cycle))
+        assert seen == {(True, False), (False, False), (False, True)}
 
     def test_no_long_vertex_simple_path(self):
         # Every finite graph is path-finite: a vertex-simple path cannot

@@ -1,6 +1,7 @@
 """Checks on the package's source text."""
 
 import ast
+import os
 from pathlib import Path
 
 import graphcorners
@@ -36,3 +37,15 @@ def test_self_calls_finds_recursion():
     tree = ast.parse("def f(n):\n    def g():\n        return g()\n"
                      "    return f(n - 1) + n.f()\n")
     assert self_calls(tree) == ["f (line 4)", "g (line 3)"]
+
+
+def test_pythonpath_holds_no_other_checkout():
+    # pyproject's ``pythonpath = ["src"]`` puts this checkout's src/ ahead
+    # of PYTHONPATH, so PYTHONPATH=<other checkout>/src would silently
+    # test this checkout.  Each checkout's tests run from inside it.
+    imported = Path(graphcorners.__file__).resolve().parent
+    entries = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    for entry in filter(None, entries):
+        package = Path(entry, "graphcorners")
+        if (package / "__init__.py").is_file():
+            assert package.resolve() == imported, entry
