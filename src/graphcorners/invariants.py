@@ -315,32 +315,42 @@ def _eliminate_units(
     columns dropped.
 
     A unit pivot splits off Z/1 and leaves the Schur complement, whose
-    invariant factors are the remaining ones.  Rows that hold a unit wait
-    in buckets by length.  Each pivot is the unit in the shortest column
-    of the first row of the shortest bucket, close to the Markowitz order
-    (row nnz - 1) * (column nnz - 1).  A row an update touches leaves its
-    bucket first and goes back only if it still holds a unit, so no
-    bucket holds a stale row.
+    invariant factors are the remaining ones.  Each pivot is the unit in
+    the shortest column of the first row, in last-filed order, of the
+    shortest length that holds one: close to the Markowitz order.  Rows
+    wait in a bucket queue, a list per length, and a row an update
+    touches is filed again at the end of its new length's, unscanned.
+    An entry is skipped when reached if its row is gone, has another
+    length or a later entry, or holds no unit.
     """
     cols: dict[int, set[int]] = {}
-    buckets: dict[int, dict[int, None]] = {}
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
-        if 1 in row.values() or -1 in row.values():
-            buckets.setdefault(len(row), {})[r] = None
-    units = 0
-    while buckets:
-        n = min(buckets)
-        bucket = buckets[n]
-        if not bucket:
-            del buckets[n]
+    # No row outgrows the columns it starts with.
+    buckets: list[list[int]] = [[] for _ in range(len(cols) + 1)]
+    for r, row in rows.items():
+        buckets[len(row)].append(r)
+    heads = [0] * len(buckets)  # the first entry not yet reached
+    last = {r: i for bucket in buckets for i, r in enumerate(bucket)}
+    units, n = 0, 1
+    while n < len(buckets):
+        bucket, i = buckets[n], heads[n]
+        if i == len(bucket):
+            n += 1
             continue
-        r = next(iter(bucket))
-        del bucket[r]
-        pivot_row = rows.pop(r)
-        c = min((c for c, x in pivot_row.items() if x == 1 or x == -1),
-                key=lambda c: len(cols[c]))
+        heads[n] = i + 1
+        r = bucket[i]
+        pivot_row = rows.get(r)
+        if pivot_row is None or len(pivot_row) != n or last[r] != i:
+            continue
+        c, best = None, 0
+        for c2, x in pivot_row.items():
+            if (x == 1 or x == -1) and (c is None or len(cols[c2]) < best):
+                c, best = c2, len(cols[c2])
+        if c is None:
+            continue
+        del rows[r]
         p = pivot_row.pop(c)
         for c2 in pivot_row:
             cols[c2].discard(r)
@@ -348,28 +358,28 @@ def _eliminate_units(
         touched.discard(r)
         for r2 in touched:
             row = rows[r2]
-            if len(row) in buckets:
-                buckets[len(row)].pop(r2, None)
             f = row.pop(c) * p  # p == 1 / p
             for c2, y in pivot_row.items():
-                x = row.get(c2, 0)
-                z = x - f * y
-                if z:
-                    if not x:
-                        cols[c2].add(r2)
-                    row[c2] = z
-                elif x:
+                y *= f
+                x = row.get(c2)
+                if x is None:
+                    row[c2] = -y
+                    cols[c2].add(r2)
+                elif x != y:
+                    row[c2] = x - y
+                else:
                     del row[c2]
                     cols[c2].discard(r2)
-            if not row:
+            if row:
+                bucket = buckets[len(row)]
+                last[r2] = len(bucket)
+                bucket.append(r2)
+                if len(row) < n:
+                    n = len(row)
+            else:
                 del rows[r2]
-            elif 1 in row.values() or -1 in row.values():
-                buckets.setdefault(len(row), {})[r2] = None
-        for c2 in pivot_row:
-            if not cols[c2]:
-                del cols[c2]
         units += 1
-    left = sorted(cols)
+    left = sorted(c for c, rs in cols.items() if rs)
     return units, [[row.get(c, 0) for c in left] for row in rows.values()]
 
 

@@ -504,10 +504,10 @@ def fixed_point_pipeline(
     The resulting corner graph presents the subalgebra of the host graph
     algebra fixed by the coaction the labelling induces.
     """
-    skew = reachable_skew(host, c, cap)
-    # The identity fibre: the skew's first vertices, one per host vertex.
-    tree = build_spanning_subtree(skew, range(len(host.vertices)),
-                                  indices=True)
+    skew, n = reachable_skew(host, c, cap), len(host.vertices)
+    # The identity fibre: the skew's first n vertices, maybe none.
+    tree = (build_spanning_subtree(skew, range(n), indices=True) if n
+            else DirectedSubtree(skew, [], []))
     return FixedPointResult(skew, tree, corner_graph(skew, tree))
 
 

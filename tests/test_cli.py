@@ -170,6 +170,18 @@ def test_fixed_point_finite_group_ignores_cap(files, capsys):
     assert outputs[0][0] == 0 and outputs[0][1]
 
 
+@pytest.mark.parametrize("group", ["z5", "z"])
+@pytest.mark.parametrize("flags,out", [
+    ([], ""), (["--dot"], "digraph G {\n}\n"), (["--relabel"], ""),
+], ids=["plain", "dot", "relabel"])
+def test_fixed_point_on_a_graph_with_no_vertices(files, capsys, group, flags,
+                                                 out):
+    # Like skew, kth and check-kirchhoff on the same file: an empty answer.
+    path = files("empty.graph", "")
+    assert run(capsys, ["fixed-point", path, "--group", group, *flags]) == (
+        0, out, "")
+
+
 @pytest.mark.parametrize("command", ["skew", "fixed-point"])
 @pytest.mark.parametrize("group", ["z3", "z"])
 def test_negative_cap_is_rejected(files, capsys, command, group):

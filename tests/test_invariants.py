@@ -178,6 +178,101 @@ def kth_rows(g, monkeypatch):
     return got[0]
 
 
+def random_graph_rows(monkeypatch):
+    """``kth_rows`` of 40 random graphs with 100 to 400 vertices and three
+    edges per vertex."""
+    graphs = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(100, 400)
+        vs = [f"v{i}" for i in range(n)]
+        graphs.append(kth_rows(DirectedMultigraph(vs, [
+            (f"e{k}", rng.choice(vs), rng.choice(vs))
+            for k in range(3 * n)
+        ]), monkeypatch))
+    return graphs
+
+
+# Stage 1 as it was when each touched row left its bucket and was scanned
+# for a unit, kept word for word: the pivot order it fixes is the one
+# ``invariants._eliminate_units`` must keep.
+def reference_eliminate_units(
+    rows: dict[int, dict[int, int]],
+) -> tuple[int, list[list[int]]]:
+    """Eliminate +-1 pivots, in place, from rows with no zero entry and no
+    empty row; return their count and the dense rest, zero rows and
+    columns dropped.
+
+    A unit pivot splits off Z/1 and leaves the Schur complement, whose
+    invariant factors are the remaining ones.  Rows that hold a unit wait
+    in buckets by length.  Each pivot is the unit in the shortest column
+    of the first row of the shortest bucket, close to the Markowitz order
+    (row nnz - 1) * (column nnz - 1).  A row an update touches leaves its
+    bucket first and goes back only if it still holds a unit, so no
+    bucket holds a stale row.
+    """
+    cols: dict[int, set[int]] = {}
+    buckets: dict[int, dict[int, None]] = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+        if 1 in row.values() or -1 in row.values():
+            buckets.setdefault(len(row), {})[r] = None
+    units = 0
+    while buckets:
+        n = min(buckets)
+        bucket = buckets[n]
+        if not bucket:
+            del buckets[n]
+            continue
+        r = next(iter(bucket))
+        del bucket[r]
+        pivot_row = rows.pop(r)
+        c = min((c for c, x in pivot_row.items() if x == 1 or x == -1),
+                key=lambda c: len(cols[c]))
+        p = pivot_row.pop(c)
+        for c2 in pivot_row:
+            cols[c2].discard(r)
+        touched = cols.pop(c)
+        touched.discard(r)
+        for r2 in touched:
+            row = rows[r2]
+            if len(row) in buckets:
+                buckets[len(row)].pop(r2, None)
+            f = row.pop(c) * p  # p == 1 / p
+            for c2, y in pivot_row.items():
+                x = row.get(c2, 0)
+                z = x - f * y
+                if z:
+                    if not x:
+                        cols[c2].add(r2)
+                    row[c2] = z
+                elif x:
+                    del row[c2]
+                    cols[c2].discard(r2)
+            if not row:
+                del rows[r2]
+            elif 1 in row.values() or -1 in row.values():
+                buckets.setdefault(len(row), {})[r2] = None
+        for c2 in pivot_row:
+            if not cols[c2]:
+                del cols[c2]
+        units += 1
+    left = sorted(cols)
+    return units, [[row.get(c, 0) for c in left] for row in rows.values()]
+
+
+def check_unit_stage(rows, expected):
+    """Stage 1 on hand-built rows over columns 0 to 9: the expected units
+    and rest, as the reference stage gives, and the factors of the
+    reference Smith normal form."""
+    dense = IntegerMatrix.from_rows([
+        [row.get(c, 0) for c in range(10)] for row in rows.values()])
+    assert invariant_factors(rows) == smith_normal_form(dense).factors
+    got = invariants._eliminate_units(copy.deepcopy(rows))
+    assert got == reference_eliminate_units(rows) == expected
+
+
 def last_bareiss_pivot(rows):
     """|det| of the square submatrix on the pivots that fraction-free
     elimination takes (in each column the first nonzero row left): the
@@ -270,23 +365,17 @@ class TestInvariantFactors:
             assert last_bareiss_pivot(A) % g == 0, rows
 
     def test_unit_stage_leaves_no_unit(self, monkeypatch):
-        """Stage 1 files a row under its length only while it holds a unit,
-        and re-files each row an update touches; the remainder must still
-        hold no unit, and lose no rank."""
+        """Stage 1 files every row in a bucket queue by length, files each
+        row an update touches again under its new length without scanning
+        it, and skips an entry whose row has gone, changed length, been
+        filed again or lost its units; the remainder must still hold no
+        unit, and lose no rank."""
         cases = []
         for seed in range(300):
             rows = shaped_matrix(random.Random(seed))
             cases.append((nonzero(rows),
                           rational_rank(IntegerMatrix.from_rows(rows))))
-        graphs = []
-        for seed in range(40):
-            rng = random.Random(seed)
-            n = rng.randint(100, 400)
-            vs = [f"v{i}" for i in range(n)]
-            graphs.append(kth_rows(DirectedMultigraph(vs, [
-                (f"e{k}", rng.choice(vs), rng.choice(vs))
-                for k in range(3 * n)
-            ]), monkeypatch))
+        graphs = random_graph_rows(monkeypatch)
         cases += [(rows, rank_mod_prime(rows)) for rows in graphs]
         for rows, rank in cases:
             units, A = invariants._eliminate_units(rows)
@@ -294,6 +383,40 @@ class TestInvariantFactors:
             assert units + (
                 rational_rank(IntegerMatrix.from_rows(A)) if A else 0
             ) == rank
+
+    def test_unit_stage_keeps_the_reference_pivots(self, monkeypatch):
+        # The same unit count and dense rest, entry for entry, as the stage
+        # that took each touched row out of its bucket and scanned it.
+        cases = [nonzero(shaped_matrix(random.Random(seed)))
+                 for seed in range(300)]
+        cases += random_graph_rows(monkeypatch)
+        cases += [kth_rows(parse_graph(random_sparse_text(n)), monkeypatch)
+                  for n in (1000, 1500)]
+        rests = []
+        for rows in cases:
+            units, A = invariants._eliminate_units(copy.deepcopy(rows))
+            assert (units, A) == reference_eliminate_units(rows)
+            rests.append(A)
+        assert [(len(A), len(A[0])) for A in rests[-2:]] == [
+            (117, 69), (194, 108)]
+
+    def test_unit_stage_steps_back_to_a_shortened_row(self):
+        # The pivot on row 0 (length 3, column 0) leaves row 1 as {3: 1}, of
+        # length 1, so row 1 is the next pivot, before row 2 at length 3;
+        # it clears column 3 of row 3, which keeps no unit.
+        rows = {0: {0: 1, 1: 1, 2: 1}, 1: {0: 1, 1: 1, 2: 1, 3: 1},
+                2: {5: 1, 6: 1, 7: 1}, 3: {3: 2, 4: 3}}
+        check_unit_stage(rows, (3, [[3]]))
+
+    def test_unit_stage_takes_a_refiled_row_at_its_last_place(self):
+        # Row 2 starts at length 3 ahead of row 3.  The pivot on row 0 makes
+        # it {1: 1, 2: 1, 8: -2, 9: -2}, the pivot on row 1 brings it back
+        # to length 3 as {2: 1, 8: -3, 9: -3}, filed after row 3.  So row 3
+        # pivots at column 2 and row 2 is the rest; taking row 2 at its old
+        # place, ahead of row 3, would leave row 3, [2, 2, 3, 3].
+        rows = {0: {0: 1, 8: 2, 9: 2}, 1: {1: 1, 8: 1, 9: 1},
+                2: {0: 1, 1: 1, 2: 1}, 3: {2: 1, 5: 2, 6: 2}}
+        check_unit_stage(rows, (3, [[-2, -2, -3, -3]]))
 
     def test_argument_left_as_it_is(self, monkeypatch):
         cases = [sparse(shaped_matrix(random.Random(seed)))
