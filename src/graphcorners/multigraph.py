@@ -8,7 +8,9 @@ The graph file format is line oriented (UTF-8):
 
 Names match ``[A-Za-z0-9_@.-]+``.  Edge endpoints must be declared before
 the edge line that uses them.  The optional LABEL column is kept verbatim
-on the edge; it is interpreted by the labelling module.
+on the edge; it is interpreted by the labelling module.  A file is
+checked as columns, a block of lines at a time; only a faulty file is
+read again, line by line, to name its first faulty line.
 
 A graph is integer indexed inside; the library's algorithms run on the
 indices, and names appear only at the boundary: parsing, printing,
@@ -18,8 +20,8 @@ errors and the public API.
 from __future__ import annotations
 
 import re
-from itertools import chain
-from operator import add
+from itertools import chain, compress, count, repeat, zip_longest
+from operator import add, eq, ge, itemgetter, sub
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z0-9_@.-]+")
@@ -27,6 +29,9 @@ NAME_RE = re.compile(r"[A-Za-z0-9_@.-]+")
 # Entries per block: output is written, and the parts of derived names
 # are gathered, a block at a time, so neither is held whole.
 _BLOCK = 1024
+# Lines per block of input, split and checked at once: a block's token
+# lists take about 0.3 MB.
+_PARSE_BLOCK = 512
 
 
 class GraphFormatError(ValueError):
@@ -221,9 +226,9 @@ class DirectedMultigraph:
     library works on indices; ``Edge`` objects are made on request only.
     The public constructor checks every item in one pass (names,
     endpoints, each edge item's shape and label); ``parse_graph``, which
-    checks each line as it reads it, and graphs derived from a valid
-    graph build through the trusted ``_from_indices``, which checks
-    nothing.  The name indexes are built on first use.
+    checks whole columns of the file's lines, and graphs derived from a
+    valid graph build through the trusted ``_from_indices``, which
+    checks nothing.  The name indexes are built on first use.
     """
 
     __slots__ = ("vertices", "_index", "_names", "_src", "_dst", "_labels",
@@ -347,19 +352,6 @@ def _check_item(
             )
 
 
-def _row(e: object) -> tuple | None:
-    """An edge item as (name, src, dst, label); None if it is not a tuple
-    (an ``Edge`` is one) or list of 3 or 4 items."""
-    if isinstance(e, (tuple, list)) and 3 <= len(e) <= 4:
-        return tuple(e) if len(e) == 4 else (*e, None)
-    return None
-
-
-def _is_label(text: object) -> bool:
-    """Whether a label is None or one token of the file format."""
-    return text is None or isinstance(text, str) and text.split() == [text]
-
-
 def _check_items(vertices: Sequence, items: list) -> tuple[dict, list]:
     """Raise for the first bad item: vertices first, then each edge item's
     shape, name, endpoints and label, in order.  Return each vertex's
@@ -369,16 +361,18 @@ def _check_items(vertices: Sequence, items: list) -> tuple[dict, list]:
         _check_item(v, "vertex", index)
         index[v] = len(index)
     taken: set[str] = set()
-    rows = list(map(_row, items))
-    for e, row in zip(items, rows):
-        if row is None:
+    rows = []
+    for e in items:
+        if not isinstance(e, (tuple, list)) or not 3 <= len(e) <= 4:
             raise GraphFormatError(f"invalid edge item {e!r}: expected "
                                    f"(NAME, SRC, DST[, LABEL])")
-        _check_item(row[0], "edge", taken, row[1:3], index)
-        if not _is_label(row[3]):
-            raise GraphFormatError(
-                f"edge {row[0]!r}: invalid label {row[3]!r}")
-        taken.add(row[0])
+        name, _, _, label = row = (*e, None)[:4]
+        _check_item(name, "edge", taken, row[1:3], index)
+        if label is not None and not (
+                isinstance(label, str) and label.split() == [label]):
+            raise GraphFormatError(f"edge {name!r}: invalid label {label!r}")
+        taken.add(name)
+        rows.append(row)
     return index, rows
 
 
@@ -387,56 +381,51 @@ def parse_graph(text: str) -> DirectedMultigraph:
 
     A line ends at a line feed, a carriage return, or the two together,
     and nowhere else: the other breaks of ``str.splitlines``, such as a
-    form feed, are whitespace within a line.
+    form feed, are whitespace within a line.  The lines are split and
+    checked as columns, a block of ``_PARSE_BLOCK`` at a time; if a check
+    fails, ``linepass.line_pass`` names the first faulty line.
     """
-    vertices: dict[str, int] = {}
-    edges: dict[str, None] = {}
-    src, dst, labels = [], [], []
-    valid = NAME_RE.fullmatch
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        # A well-formed line passes _check_item's tests, made inline here,
-        # and joins the columns for the trusted constructor (a label is one
-        # token by construction); any other line goes through the checks
-        # below, which raise, naming what is wrong with it.
-        if (tokens[0] == "edge" and 4 <= len(tokens) <= 5
-                and valid(tokens[1]) and tokens[1] not in edges
-                and tokens[2] in vertices and tokens[3] in vertices):
-            edges[tokens[1]] = None
-            src.append(vertices[tokens[2]])
-            dst.append(vertices[tokens[3]])
-            labels.append(tokens[4] if len(tokens) == 5 else None)
-            continue
-        if (tokens[0] == "vertex" and len(tokens) == 2
-                and valid(tokens[1]) and tokens[1] not in vertices):
-            vertices[tokens[1]] = len(vertices)
-            continue
-        try:
-            if tokens[0] == "vertex":
-                if len(tokens) != 2:
-                    raise GraphFormatError(
-                        f"expected 'vertex NAME', got {raw!r}"
-                    )
-                _check_item(tokens[1], "vertex", vertices)
-            elif tokens[0] == "edge":
-                if len(tokens) not in (4, 5):
-                    raise GraphFormatError(
-                        f"expected 'edge NAME SRC DST [LABEL]', got {raw!r}"
-                    )
-                _check_item(tokens[1], "edge", edges, tokens[2:4], vertices)
-            else:
-                raise GraphFormatError(
-                    f"unknown declaration {tokens[0]!r}"
-                )
-        except GraphFormatError as exc:
-            raise GraphFormatError(f"line {lineno}: {exc}") from None
-    g = DirectedMultigraph._from_indices(tuple(vertices), list(edges), src,
-                                         dst, labels)
-    g._index = vertices
-    return g
+    vertices, edges, src, dst, labels = {}, {}, [], [], []
+    for start in range(0, len(lines), _PARSE_BLOCK):
+        rows = list(filter(None, map(
+            str.split, lines[start:start + _PARSE_BLOCK])))
+        heads = list(map(itemgetter(0), rows))
+        nv, n, late = heads.count("vertex"), len(vertices), ()
+        if nv + heads.count("edge") < len(rows):
+            rows = [r for r in rows if r[0][0] != "#"]
+            heads = list(map(itemgetter(0), rows))
+            if nv + heads.count("edge") < len(rows):
+                break
+        if nv < len(rows) and heads.index("edge") < nv:
+            # Edge k, in row p, has n + p - k vertices above it.  A stable
+            # sort puts the vertex rows first.
+            late = list(map(sub, compress(count(n), map(
+                eq, heads, repeat("edge"))), count()))
+            rows.sort(key=itemgetter(0), reverse=True)
+        vs = list(zip_longest(*rows[:nv])) or [(), ()]
+        es = list(zip_longest(*rows[nv:])) or [()] * 4
+        if (len(vs) != 2 or len(es) not in (4, 5) or None in vs[1] + es[3]
+                or rows and not NAME_RE.fullmatch("".join(vs[1] + es[1]))):
+            break
+        vertices.update(zip(vs[1], count(n)))
+        edges.update(dict.fromkeys(es[1]))
+        s, d = [list(map(vertices.get, c)) for c in es[2:4]]
+        src += s
+        dst += d
+        labels += es[4] if len(es) == 5 else [None] * len(s)
+        if (None in s + d or any(map(ge, s + d, late * 2))
+                or len(vertices) != n + nv or len(edges) != len(src)):
+            break
+    else:
+        g = DirectedMultigraph._from_indices(tuple(vertices), list(edges),
+                                             src, dst, labels)
+        g._index = vertices
+        return g
+    from .linepass import line_pass  # only a faulty file needs it
+
+    line_pass(lines)
+    raise AssertionError("column checks refused a valid file")
 
 
 def _lines(*fields: str | Sequence[str]) -> str:

@@ -30,18 +30,89 @@ from graphcorners import (
     to_dot,
     validate_subtree,
 )
-from graphcorners import multigraph
+from graphcorners import linepass, multigraph
 from graphcorners.cli import _Positional
 from graphcorners.iso import are_isomorphic
 
 from sample_graphs import (
+    big_dag_text,
     cyc6,
+    cycles,
     edge1,
+    layered_potential_text,
+    parallel_edges,
     pqr,
     random_multigraph,
+    random_sparse_text,
     rose2,
+    rose_chain,
+    single_loop,
     single_vertex,
 )
+
+
+def reference_parse_graph(text: str) -> DirectedMultigraph:
+    """``parse_graph`` as it was before the column checks, word for word:
+    one pass over the lines, checking each as it is read."""
+    vertices: dict[str, int] = {}
+    edges: dict[str, None] = {}
+    src, dst, labels = [], [], []
+    valid = multigraph.NAME_RE.fullmatch
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if (tokens[0] == "edge" and 4 <= len(tokens) <= 5
+                and valid(tokens[1]) and tokens[1] not in edges
+                and tokens[2] in vertices and tokens[3] in vertices):
+            edges[tokens[1]] = None
+            src.append(vertices[tokens[2]])
+            dst.append(vertices[tokens[3]])
+            labels.append(tokens[4] if len(tokens) == 5 else None)
+            continue
+        if (tokens[0] == "vertex" and len(tokens) == 2
+                and valid(tokens[1]) and tokens[1] not in vertices):
+            vertices[tokens[1]] = len(vertices)
+            continue
+        try:
+            if tokens[0] == "vertex":
+                if len(tokens) != 2:
+                    raise GraphFormatError(
+                        f"expected 'vertex NAME', got {raw!r}"
+                    )
+                multigraph._check_item(tokens[1], "vertex", vertices)
+            elif tokens[0] == "edge":
+                if len(tokens) not in (4, 5):
+                    raise GraphFormatError(
+                        f"expected 'edge NAME SRC DST [LABEL]', got {raw!r}"
+                    )
+                multigraph._check_item(tokens[1], "edge", edges, tokens[2:4],
+                                       vertices)
+            else:
+                raise GraphFormatError(
+                    f"unknown declaration {tokens[0]!r}"
+                )
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from None
+    g = DirectedMultigraph._from_indices(tuple(vertices), list(edges), src,
+                                         dst, labels)
+    g._index = vertices
+    return g
+
+
+def parsed(parse, text: str) -> tuple | str:
+    """What a parser makes of text: the graph's columns and vertex index,
+    or the text of the error it raises."""
+    try:
+        g = parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+    return g._columns(), g._index
+
+
+def vertex_lines(n: int) -> str:
+    return "".join(f"vertex v{i}\n" for i in range(n))
 
 
 class TestParse:
@@ -114,6 +185,27 @@ class TestParse:
         ("vertex a\rvertex b\x85\u2028\x1d\nedge e a b\x1c1\v2\x1e\n",
          "line 3: expected 'edge NAME SRC DST [LABEL]', "
          "got 'edge e a b\\x1c1\\x0b2\\x1e'"),
+        # A one-token edge line among whole ones: its name column holds
+        # a gap.
+        ("vertex a\nedge e a a\nedge\n",
+         "line 3: expected 'edge NAME SRC DST [LABEL]', got 'edge'"),
+        # Faults at and across the boundaries of the parser's blocks.
+        pytest.param(vertex_lines(1023) + "vertex v0\n",
+                     "line 1024: duplicate vertex name 'v0'", id="line-1024"),
+        pytest.param(vertex_lines(1024) + "edge e v0 v1024\nvertex v1024\n",
+                     "line 1025: edge 'e': endpoint 'v1024' undeclared",
+                     id="line-1025"),
+        pytest.param(vertex_lines(2048) + "vertex a b\n",
+                     "line 2049: expected 'vertex NAME', got 'vertex a b'",
+                     id="line-2049"),
+        # An endpoint declared two lines after its edge, in one block.
+        ("vertex a\nedge e a b\n# b follows\nvertex b\n",
+         "line 2: edge 'e': endpoint 'b' undeclared"),
+        # An edge name first used in an earlier block.
+        pytest.param("vertex a\n" + "".join(f"edge e{k} a a\n"
+                                            for k in range(1100))
+                     + "edge e7 a a\n", "line 1102: duplicate edge name 'e7'",
+                     id="edge-name-of-an-earlier-block"),
     ])
     def test_error_text(self, text, message):
         with pytest.raises(GraphFormatError) as caught:
@@ -165,6 +257,31 @@ class TestParse:
             ("a", "b"), ["e", "f", "g", "h"], [0, 1, 0, 0], [1, 0, 0, 1],
             ["-1,2", None, "x", None],
         )
+
+    def test_valid_files_never_reach_the_line_pass(self, monkeypatch):
+        # The line pass only names a fault: every valid file, in the shape
+        # the library writes or with vertex and edge lines alternating
+        # across 40,000 lines, is taken by the column checks alone.
+        def refuse(lines):
+            raise AssertionError("parse_graph ran the line pass")
+
+        monkeypatch.setattr(linepass, "line_pass", refuse)
+        alternating = "".join(f"vertex v{i}\nedge e{i} v{i} v{i // 2}\n"
+                              for i in range(20000))
+        assert alternating.count("\n") == 40000
+        texts = [random_sparse_text(3000, labels=5), alternating,
+                 big_dag_text(), layered_potential_text(),
+                 "# note\r\nvertex a\r\n\tedge e a a 1\r\n\nvertex b\n"]
+        texts += map(serialize_graph, [
+            rose2(), edge1(), cyc6(), pqr(2, 3, 1), single_vertex(),
+            single_loop(), single_loop("-1"), parallel_edges(3),
+            cycles(3, 4), rose_chain([2, 3, 1], links=2),
+            *(random_multigraph(random.Random(seed)) for seed in range(20)),
+        ])
+        for text in texts:
+            expected = parsed(reference_parse_graph, text)
+            assert not isinstance(expected, str)
+            assert parsed(parse_graph, text) == expected
 
 
 class TestConstructor:
@@ -703,3 +820,99 @@ def test_graph_blocks_of_a_renamed_corner():
     corner = corner_graph(g, build_spanning_subtree(g, ["r"])).graph
     assert isinstance(corner._names, list)
     assert serialize_graph(corner) == line_by_line(corner)
+
+
+# Whitespace to str.split, and so to the file format (ROADMAP item 12
+# decides which of these the format should take).
+SPACES = [" ", "\t", "\xa0", "\x1c", "\x85", "\u3000", "\v"]
+# Lines that replace one line of a file: 1, 3 and 6 tokens, unknown
+# declarations and malformed names.
+FAULTY_LINES = {
+    "arity": [["vertex"], ["edge"], ["vertex", "a", "b"], ["edge", "x", "v0"],
+              ["edge", "x", "v0", "v0", "1", "2"], ["vertex", *"abcde"]],
+    "unknown": [["node", "a"], ["Vertex", "a"]],
+    "bad_name": [["vertex", "a,b"], ["edge", "\xe9", "v0", "v0"]],
+}
+MUTATIONS = [*FAULTY_LINES, "forward", "far_duplicate", "keyword_names",
+             "spaces", "line_ends", "drop"]
+
+
+@st.composite
+def mutated_files(draw) -> str:
+    """A valid graph file, laid out as the library writes it, with vertex
+    and edge lines interleaved, or shuffled, with or without comment and
+    blank lines, and then mutated by a few of ``MUTATIONS``.  The layout
+    and mutations are drawn; the bulk comes from a drawn seed."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.sampled_from([1, 4, 30, 600, 1100]))
+    layout = draw(st.sampled_from(["written", "interleaved", "shuffled"]))
+    comments = draw(st.sampled_from([0, 0.1, 0.5]))
+    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=4))
+    names = [f"v{i}" for i in range(n)]
+    keywords = {}
+    if "keyword_names" in mutations:
+        names[rng.randrange(n)], names[-1] = "vertex", "edge"
+        keywords = {0: "edge", 1: "vertex"}
+    ends = sorted((rng.randrange(n), rng.randrange(n))
+                  for _ in range(rng.randrange(3 * n + 1)))
+    edges = [["edge", keywords.get(k, f"e{k}"), names[u], names[w],
+              *rng.choice([[], ["1"], ["x"]])]
+             for k, (u, w) in enumerate(ends)]
+    if layout == "interleaved":
+        # Each vertex line is followed by the edges whose later endpoint
+        # it declares.
+        lines, k = [], 0
+        for i, v in enumerate(names):
+            lines.append(["vertex", v])
+            while k < len(edges) and max(ends[k]) == i:
+                lines.append(edges[k])
+                k += 1
+    else:
+        lines = [["vertex", v] for v in names] + edges
+        if layout == "shuffled":
+            rng.shuffle(lines)
+    for _ in range(int(comments * len(lines))):
+        lines.insert(rng.randrange(len(lines) + 1),
+                     rng.choice([["#"], ["#", "note"], ["#edge", "x"], []]))
+    for mutation in mutations:
+        i = rng.randrange(len(lines)) if lines else 0
+        if mutation in FAULTY_LINES:
+            lines[i:i + 1] = [rng.choice(FAULTY_LINES[mutation])]
+        elif mutation == "forward":
+            # An endpoint declared two lines after its edge.
+            lines[i:i] = [["edge", "fwd", names[0], "late"], ["#"],
+                          ["vertex", "late"]]
+        elif mutation == "far_duplicate":
+            j = rng.randrange(i, len(lines) + 1)
+            lines[j:j] = lines[i:i + 1]
+        elif mutation == "drop":
+            del lines[i:i + 1]
+    spaces = SPACES if "spaces" in mutations else [" "]
+    breaks = ["\n"] * len(lines)
+    if "line_ends" in mutations and lines:
+        # A form feed ends no line: it joins two.
+        breaks = [rng.choice(["\n", "\r", "\r\n"]) for _ in lines]
+        breaks[rng.randrange(len(lines))] = "\f"
+    return "".join(
+        rng.choice(["", "", *spaces])
+        + "".join(token + rng.choice(spaces) for token in line)[:-1] + end
+        for line, end in zip(lines, breaks))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mutated_files(),
+       st.sampled_from([multigraph._PARSE_BLOCK, 2, 5, 64]))
+def test_column_and_line_passes_agree_with_the_reference_parser(text, block):
+    # The same columns, or the same first error text, as the line-by-line
+    # parser had, with the real block size and with small ones that put
+    # many block boundaries in each file; the line pass runs exactly when
+    # the file is faulty, and passes a valid file when run on its own.
+    expected = parsed(reference_parse_graph, text)
+    line_pass = mock.Mock(wraps=linepass.line_pass)
+    with mock.patch.object(multigraph, "_PARSE_BLOCK", block), \
+            mock.patch.object(linepass, "line_pass", line_pass):
+        assert parsed(parse_graph, text) == expected
+    assert line_pass.called == isinstance(expected, str)
+    if not line_pass.called:
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        assert linepass.line_pass(lines) is None
