@@ -245,31 +245,6 @@ def smith_normal_form(M: IntegerMatrix) -> SmithDecomposition:
     )
 
 
-def rational_rank(M: IntegerMatrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    A = [list(r) for r in M.entries]
-    m, n = M.rows, M.cols
-    rank = 0
-    prev = 1
-    for col in range(n):
-        pivot_row = next(
-            (i for i in range(rank, m) if A[i][col] != 0), None
-        )
-        if pivot_row is None:
-            continue
-        A[rank], A[pivot_row] = A[pivot_row], A[rank]
-        for i in range(rank + 1, m):
-            for j in range(col + 1, n):
-                num = A[rank][col] * A[i][j] - A[i][col] * A[rank][j]
-                q, r = divmod(num, prev)
-                assert r == 0, "fraction-free step not exact"
-                A[i][j] = q
-            A[i][col] = 0
-        prev = A[rank][col]
-        rank += 1
-    return rank
-
-
 def invariant_factors(rows: dict[int, dict[int, int]]) -> tuple[int, ...]:
     """The nonzero invariant factors d1 | d2 | ... of a sparse integer
     matrix, without transforms; their count is its rank.
@@ -468,15 +443,6 @@ def _diagonal_mod(A: list[list[int]], D: int) -> list[int]:
             if any(r)
         ]
     return diagonal
-
-
-def vertex_matrix(g: DirectedMultigraph) -> IntegerMatrix:
-    """Edge multiplicity matrix: entry (v, w) counts the edges v -> w."""
-    n = len(g.vertices)
-    rows = [[0] * n for _ in range(n)]
-    for v, w in zip(g._src, g._dst):
-        rows[v][w] += 1
-    return IntegerMatrix.from_rows(rows, g.vertices, g.vertices)
 
 
 class KTheoryResult(NamedTuple):

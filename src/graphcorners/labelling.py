@@ -20,11 +20,9 @@ from .corner import CornerGraph, corner_graph
 from .multigraph import (
     DirectedMultigraph,
     GraphFormatError,
-    Path,
     _Names,
     _strongly_connected_components,
     is_acyclic,
-    path_range,
 )
 from .subtree import DirectedSubtree, build_spanning_subtree
 
@@ -124,11 +122,12 @@ class GroupSpec(NamedTuple("GroupSpec", [("moduli", tuple[int, ...])])):
 
 
 class Labelling(NamedTuple):
-    """A total assignment of a group element to every edge of a host graph."""
+    """A total assignment of a group element to every edge of a host graph:
+    ``by_index[k]`` is the element of host edge k."""
 
     host: DirectedMultigraph
     group: GroupSpec
-    by_edge: Mapping[str, Element]
+    by_index: tuple[Element, ...]
 
     @classmethod
     def from_graph(cls, host: DirectedMultigraph, group: GroupSpec) -> "Labelling":
@@ -143,8 +142,7 @@ class Labelling(NamedTuple):
                 except ValueError as exc:
                     name = host._names[labels.index(label)]
                     raise GraphFormatError(f"edge {name!r}: {exc}") from None
-        return cls(host, group,
-                   dict(zip(host._names, map(element.__getitem__, labels))))
+        return cls(host, group, tuple(map(element.__getitem__, labels)))
 
     @classmethod
     def from_map(
@@ -159,29 +157,22 @@ class Labelling(NamedTuple):
         """
         for name in labels:
             host.edge(name)
-        by_edge = {}
+        by_index = []
         for name in host._names:
             raw = labels.get(name)
             if raw is None:
-                by_edge[name] = group.identity
+                by_index.append(group.identity)
             elif isinstance(raw, int):
-                by_edge[name] = group.canonical((raw,))
+                by_index.append(group.canonical((raw,)))
             else:
-                by_edge[name] = group.canonical(raw)
-        return cls(host, group, by_edge)
+                by_index.append(group.canonical(raw))
+        return cls(host, group, tuple(by_index))
 
     def label(self, edge_name: str) -> Element:
-        self.host.edge(edge_name)
-        return self.by_edge[edge_name]
-
-
-def path_label(c: Labelling, mu: Path) -> Element:
-    """Ordered product of the edge labels along a path; identity if empty."""
-    path_range(c.host, mu)
-    acc = c.group.identity
-    for name in mu.edges:
-        acc = c.group.op(acc, c.by_edge[name])
-    return acc
+        k = self.host._edge_index.get(edge_name)
+        if k is None:
+            raise GraphFormatError(f"unknown edge {edge_name!r}")
+        return self.by_index[k]
 
 
 def _fast_op(group: GroupSpec) -> Callable[[Element, Element], Element]:
@@ -209,7 +200,7 @@ def _numbering(c: Labelling, negate: bool,
     elements = elements or [c.group.identity]
     numbers = dict(zip(elements, range(len(elements))))
     add = _fast_op(c.group)
-    labels = list(map(c.by_edge.__getitem__, c.host._names))
+    labels = c.by_index
     operand = {g: c.group.inverse(g) if negate else g for g in set(labels)}
     tables = list(map({g: {} for g in operand}.__getitem__, labels))
 
@@ -429,7 +420,7 @@ def cycle_labels_trivial(
     """
     _check_labelling(host, c)
     add = _fast_op(c.group)
-    labels = list(map(c.by_edge.__getitem__, host._names))
+    labels = c.by_index
     src, dst = host._src, host._dst
     for comp in _strongly_connected_components(host):
         internal = [

@@ -20,7 +20,7 @@ errors and the public API.
 from __future__ import annotations
 
 import re
-from itertools import chain, compress, count, repeat, zip_longest
+from itertools import chain, compress, count, islice, repeat, zip_longest
 from operator import add, eq, ge, itemgetter, sub
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
@@ -43,49 +43,6 @@ class Edge(NamedTuple):
     src: str
     dst: str
     label: str | None = None
-
-
-class Path:
-    """A finite path: a start vertex plus a sequence of edge names.
-
-    The empty edge sequence is the length-0 path at ``start``.  A path is
-    not a tuple: its length is its edge count.
-    """
-
-    __slots__ = ("start", "edges")
-
-    def __init__(self, start: str, edges: tuple[str, ...] = ()) -> None:
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "edges", edges)
-
-    def __setattr__(self, name: str, *value: object) -> None:
-        raise AttributeError(f"cannot change field {name!r} of a Path")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.start, self.edges) == (other.start, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.start, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Path(start={self.start!r}, edges={self.edges!r})"
-
-    def __reduce__(self) -> tuple:  # copy and pickle go through __init__
-        return Path, (self.start, self.edges)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def is_prefix_of(self, other: "Path") -> bool:
-        """Initial-subpath order: same start, edge sequence a prefix."""
-        return (
-            self.start == other.start
-            and self.edges == other.edges[: len(self.edges)]
-        )
 
 
 def _blocks(table: Sequence, columns: tuple[Sequence[int], ...]
@@ -383,7 +340,8 @@ def parse_graph(text: str) -> DirectedMultigraph:
     and nowhere else: the other breaks of ``str.splitlines``, such as a
     form feed, are whitespace within a line.  The lines are split and
     checked as columns, a block of ``_PARSE_BLOCK`` at a time; if a check
-    fails, ``linepass.line_pass`` names the first faulty line.
+    fails, ``linepass.line_pass`` names the first faulty line, reading
+    from that block on with the names the blocks above it declared.
     """
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     vertices, edges, src, dst, labels = {}, {}, [], [], []
@@ -391,7 +349,7 @@ def parse_graph(text: str) -> DirectedMultigraph:
         rows = list(filter(None, map(
             str.split, lines[start:start + _PARSE_BLOCK])))
         heads = list(map(itemgetter(0), rows))
-        nv, n, late = heads.count("vertex"), len(vertices), ()
+        nv, n, m, late = heads.count("vertex"), len(vertices), len(src), ()
         if nv + heads.count("edge") < len(rows):
             rows = [r for r in rows if r[0][0] != "#"]
             heads = list(map(itemgetter(0), rows))
@@ -424,7 +382,7 @@ def parse_graph(text: str) -> DirectedMultigraph:
         return g
     from .linepass import line_pass  # only a faulty file needs it
 
-    line_pass(lines)
+    line_pass(lines, start, islice(vertices, n), islice(edges, m))
     raise AssertionError("column checks refused a valid file")
 
 
@@ -609,54 +567,6 @@ def _strongly_connected_components(g: DirectedMultigraph) -> list[set[int]]:
 def hereditary_closure(g: DirectedMultigraph, X: Iterable[str]) -> set[str]:
     """Smallest hereditary (forward-closed) vertex set containing X."""
     return set(bfs_distances(g, X))
-
-
-def is_hereditary(g: DirectedMultigraph, X: Iterable[str]) -> bool:
-    xs = {g._require_vertex(v) for v in X}
-    return all(g._dst[k] in xs for v in xs for k in g._out[v])
-
-
-def saturate(g: DirectedMultigraph, H: Iterable[str]) -> set[str]:
-    """Smallest saturated superset of the hereditary set H.
-
-    A vertex that emits at least one edge, all of whose emitted edges end
-    inside the set, is forced into it.  Each vertex counts its edges that
-    still leave the set; a vertex joining the set lowers the counts of
-    the sources of its in-edges, so every edge is looked at twice.
-    """
-    start = set(H)
-    if not is_hereditary(g, start):
-        raise GraphFormatError("input set is not hereditary")
-    inside = [v in start for v in g.vertices]
-    leaving = [sum(not inside[g._dst[k]] for k in out) for out in g._out]
-    work = [v for v, out in enumerate(g._out)
-            if out and not inside[v] and not leaving[v]]
-    for v in work:
-        inside[v] = True
-    while work:
-        for k in g._in[work.pop()]:
-            v = g._src[k]
-            if not inside[v]:
-                leaving[v] -= 1
-                if not leaving[v]:
-                    inside[v] = True
-                    work.append(v)
-    return {v for v, joined in zip(g.vertices, inside) if joined}
-
-
-def path_range(g: DirectedMultigraph, path: Path) -> str:
-    """Range vertex of a path, validating composition along the way."""
-    g._require_vertex(path.start)
-    at = path.start
-    for name in path.edges:
-        e = g.edge(name)
-        if e.src != at:
-            raise GraphFormatError(
-                f"path breaks at {name!r}: expected source {at!r}, "
-                f"edge has source {e.src!r}"
-            )
-        at = e.dst
-    return at
 
 
 def relabelled(

@@ -1,4 +1,4 @@
-"""Directed subtrees: validation, root paths, descendants, BFS construction.
+"""Directed subtrees: validation, descendants, BFS construction.
 
 A directed subtree of a host graph is an acyclic edge subset in which every
 vertex receives at most one tree edge.  The subtrees handled here always
@@ -14,11 +14,9 @@ from typing import Iterable, NamedTuple, Sequence
 from .multigraph import (
     DirectedMultigraph,
     GraphFormatError,
-    Path,
     _distances,
     _kahn,
     _order_key,
-    bfs_distances,  # noqa: F401  (re-exported)
 )
 
 
@@ -162,20 +160,6 @@ def validate_subtree(
     for k in edges:
         parent_edge[dst[k]] = k
     return DirectedSubtree(host, parent_edge, sorted(closure))
-
-
-def root_path(tree: DirectedSubtree, v: str) -> Path:
-    """The unique tree path from a root down to v; empty path for roots."""
-    if v not in tree.tree_vertices:
-        raise GraphFormatError(f"vertex {v!r} not in the subtree")
-    host = tree.host
-    names: list[str] = []
-    at = host._index[v]
-    while (k := tree.parent_edge[at]) >= 0:
-        names.append(host._names[k])
-        at = host._src[k]
-    names.reverse()
-    return Path(start=host.vertices[at], edges=tuple(names))
 
 
 def descendants(tree: DirectedSubtree, v: str) -> tuple[str, ...]:

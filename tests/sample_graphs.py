@@ -18,7 +18,7 @@ from graphcorners import (
     relabelled,
     validate_subtree,
 )
-from graphcorners.subtree import bfs_distances
+from graphcorners.multigraph import bfs_distances
 
 
 def rose2() -> DirectedMultigraph:

@@ -20,14 +20,13 @@ from graphcorners import (
     hereditary_closure,
     k_theory,
     kirchhoff_check,
-    rational_rank,
-    saturate,
     skew_product,
     smith_normal_form,
     validate_subtree,
 )
 from graphcorners.invariants import IntegerMatrix
 
+from reference import rational_rank, saturate
 from sample_graphs import (
     cyc6,
     edge1,

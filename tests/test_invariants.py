@@ -24,13 +24,11 @@ from graphcorners import (
     invariant_factors,
     k_theory,
     parse_graph,
-    rational_rank,
     relabelled,
-    saturate,
     smith_normal_form,
-    vertex_matrix,
 )
 
+from reference import rational_rank, saturate, vertex_matrix
 from sample_graphs import (
     cyc6,
     edge1,

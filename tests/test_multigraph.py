@@ -12,19 +12,15 @@ from graphcorners import (
     GraphFormatError,
     GroupSpec,
     Labelling,
-    Path,
     SubtreeValidationError,
     build_spanning_subtree,
     corner_graph,
     fixed_point_pipeline,
     hereditary_closure,
     is_acyclic,
-    is_hereditary,
     parse_graph,
-    path_range,
     reachable_skew,
     relabelled,
-    saturate,
     serialize_graph,
     skew_product,
     to_dot,
@@ -34,6 +30,7 @@ from graphcorners import linepass, multigraph
 from graphcorners.cli import _Positional
 from graphcorners.iso import are_isomorphic
 
+from reference import Path, is_hereditary, path_range, saturate
 from sample_graphs import (
     big_dag_text,
     cyc6,
@@ -211,6 +208,27 @@ class TestParse:
         with pytest.raises(GraphFormatError) as caught:
             parse_graph(text)
         assert str(caught.value) == message
+
+    def test_line_pass_starts_at_the_failing_block(self):
+        # The blocks above the failing one passed every check, so the line
+        # pass starts there, with the names they declared.
+        text = "".join(f"vertex v{i}\nedge e{i} v{i} v{i // 2}\n"
+                       for i in range(10000)) + "vertex v0\n"
+        whole_file = linepass.line_pass
+        given = []
+
+        def record(lines, start, vertices, edges):
+            given.append((start, list(vertices), list(edges)))
+            whole_file(lines, *given[-1])
+
+        with mock.patch.object(linepass, "line_pass", record), \
+                pytest.raises(GraphFormatError) as caught:
+            parse_graph(text)
+        assert str(caught.value) == "line 20001: duplicate vertex name 'v0'"
+        start = 20000 // multigraph._PARSE_BLOCK * multigraph._PARSE_BLOCK
+        above = range(start // 2)
+        assert given == [(start, [f"v{i}" for i in above],
+                          [f"e{i}" for i in above])]
 
     def test_whitespace_around_tokens(self):
         g = parse_graph("\t# c\r\n vertex a\t\r\nvertex\tb \nedge e\ta b 2\r\n")

@@ -18,7 +18,6 @@ from graphcorners import (
     KirchhoffResult,
     KTheoryResult,
     Labelling,
-    Path,
     SmithDecomposition,
     build_spanning_subtree,
     corner_graph,
@@ -26,11 +25,13 @@ from graphcorners import (
     smith_normal_form,
 )
 
+from reference import Path
 from sample_graphs import cyc6, rose2
 
 
 def every_record():
-    """One instance of each public record, with its field names."""
+    """One instance of each public record, and of the reference ``Path``,
+    with its field names."""
     g = cyc6()
     tree = build_spanning_subtree(g, ["v0"])
     z3 = GroupSpec((3,))
@@ -50,7 +51,7 @@ def every_record():
          ("status", "start", "prefix", "cycle")),
         (fixed_point_pipeline(rose2(), Labelling.from_graph(rose2(), z3)),
          ("skew", "tree", "corner")),
-        (Labelling.from_graph(rose2(), z3), ("host", "group", "by_edge")),
+        (Labelling.from_graph(rose2(), z3), ("host", "group", "by_index")),
         (tree, ("host", "parent_edge", "spanned_indices")),
         (corner_graph(g, tree), ("graph", "host", "origin")),
     ]

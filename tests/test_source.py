@@ -2,11 +2,13 @@
 
 import ast
 import os
+import re
 from pathlib import Path
 
 import graphcorners
 
 MODULES = sorted(Path(graphcorners.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def self_calls(tree: ast.AST) -> list[str]:
@@ -37,6 +39,47 @@ def test_self_calls_finds_recursion():
     tree = ast.parse("def f(n):\n    def g():\n        return g()\n"
                      "    return f(n - 1) + n.f()\n")
     assert self_calls(tree) == ["f (line 4)", "g (line 3)"]
+
+
+def unused_definitions(modules: dict[str, str], readme: str) -> list[str]:
+    """The top-level functions and classes of the modules that no module
+    but ``__init__.py`` uses, as a name, an attribute or an imported
+    name, and that the readme does not name."""
+    trees = {name: ast.parse(text) for name, text in modules.items()}
+    used = {
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute) else node.name
+        for name, tree in trees.items() if name != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    named = set(re.findall(r"\w+", readme))
+    return [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and node.name not in used and node.name not in named
+    ]
+
+
+def test_every_definition_is_used_or_documented():
+    # Every fresh start compiles the package from source, so a definition
+    # that nothing else in it uses and the readme does not document costs
+    # for nothing; a test-side reference goes in tests/reference.py.
+    modules = {path.name: path.read_text("utf-8") for path in MODULES}
+    assert unused_definitions(modules, README.read_text("utf-8")) == []
+
+
+def test_unused_definitions_finds_dead_code():
+    modules = {
+        "__init__.py": "from .a import f, h, C, D, E\n",
+        "a.py": "def f():\n    return g()\ndef g(): pass\ndef h(): pass\n"
+                "class C: pass\nclass D: pass\nclass E: pass\n",
+        "b.py": "from .a import h as k\nfrom . import a\nx = a.D\n",
+    }
+    assert unused_definitions(modules, "See `C`.") == ["a.py: f", "a.py: E"]
 
 
 def test_pythonpath_holds_no_other_checkout():

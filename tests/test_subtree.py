@@ -7,18 +7,17 @@ from graphcorners import (
     GraphFormatError,
     GroupSpec,
     Labelling,
-    Path,
     SubtreeValidationError,
     build_spanning_subtree,
     descendants,
     fixed_point_pipeline,
     hereditary_closure,
     reachable_skew,
-    root_path,
     validate_subtree,
 )
-from graphcorners.subtree import bfs_distances
+from graphcorners.multigraph import bfs_distances
 
+from reference import Path, root_path
 from sample_graphs import (
     cyc6,
     odd_names,
