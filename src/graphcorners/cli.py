@@ -303,6 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "cap", 0) < 0:  # skew and fixed-point, any group
             raise ValueError("cap must be non-negative")
+        if getattr(args, "bound", 0) < 0:  # check-kirchhoff, --loops-only too
+            raise ValueError("bound must be non-negative")
         roots = getattr(args, "roots", None)  # fd-dims may leave it out
         if roots is not None and not _namelist(roots):
             raise ValueError("root set must be non-empty")

@@ -6,14 +6,15 @@ coordinate tuples, canonical modulo each finite factor, encoded as
 comma-joined decimals.  Inside vertex and edge names the coordinates are
 joined with ``.`` instead, since ``,`` is outside the name alphabet.
 
-``skew_product`` and ``reachable_skew`` share one breadth-first walk over
-the skew states (v, g): from every state, or from the identity fibre.
+``skew_product`` builds the full skew of a finite group from its
+formula, vertex (v, g) at v*|G| + t for g the t-th element; only
+``reachable_skew`` walks, breadth first from the identity fibre.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import count, product
+from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .corner import CornerGraph, corner_graph
@@ -189,16 +190,13 @@ def _fast_op(group: GroupSpec) -> Callable[[Element, Element], Element]:
     )
 
 
-def _numbering(c: Labelling, negate: bool,
-               elements: list[Element] | None = None) -> tuple:
-    """Group elements numbered as they are first met, after ``elements``
-    (by default the identity alone), and a step table per host edge e:
-    it maps t to the number of elements[t] + c(e), or - c(e) with
-    ``negate``.  Edges with equal labels share a table.  Returns the
-    elements, the tables and step(k, t), which fills entry t of edge k's
-    table and returns it."""
-    elements = elements or [c.group.identity]
-    numbers = dict(zip(elements, range(len(elements))))
+def _numbering(c: Labelling, negate: bool) -> tuple:
+    """Group elements numbered as they are first met, the identity first,
+    and a step table per host edge e: it maps t to the number of
+    elements[t] + c(e), or - c(e) with ``negate``.  Edges with equal
+    labels share a table.  Returns the elements, the tables and
+    step(k, t), which fills entry t of edge k's table and returns it."""
+    elements, numbers = [c.group.identity], {c.group.identity: 0}
     add = _fast_op(c.group)
     labels = c.by_index
     operand = {g: c.group.inverse(g) if negate else g for g in set(labels)}
@@ -218,7 +216,9 @@ def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
     """The full skew product graph for a finite group labelling.
 
     Vertices are pairs (v, g); the edge (e, g) runs from (s(e), c(e)+g)
-    to (r(e), g).  Vertices are ordered by v, then g; edges by e, then g.
+    to (r(e), g).  No walk is needed: with t the number of g in
+    lexicographic order, (v, g) is vertex v*|G| + t and (e, g) edge
+    e*|G| + t.  The names are as in ``reachable_skew``.
     """
     _check_labelling(host, c)
     group = c.group
@@ -227,11 +227,23 @@ def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
             "skew product of an infinite group is infinite; "
             "use reachable_skew"
         )
-    # Numbered in lexicographic order, elements sort the edges by (e, g).
     elements = list(group.elements())
-    n = len(host.vertices)
-    seeds = [t * n + v for v in range(n) for t in range(len(elements))]
-    return _explore(host, c, seeds, len(seeds), elements)
+    m, add = len(elements), _fast_op(group)
+    numbers = dict(zip(elements, range(m)))
+    # shift[g][t] is the number of g + elements[t], one list per label g.
+    shift = {g: [numbers[add(g, x)] for x in elements]
+             for g in set(c.by_index)}
+    per, encs = range(m), list(map(group.name_encode, elements))
+    src = [a * m + t for a, g in zip(host._src, c.by_index) for t in shift[g]]
+    dst = [b * m + t for b in host._dst for t in per]
+    # Each host vertex and edge index |G| times, beside t = 0, ..., |G|-1.
+    vs, se = ([i for i in range(len(x)) for _ in per]
+              for x in (host.vertices, host._names))
+    ts = list(per) * len(host.vertices)
+    return DirectedMultigraph._from_indices(
+        _Names((host.vertices, vs), (encs, ts)),
+        _Names((host._names, se), (_Names((encs, ts)), dst)), src, dst,
+    )
 
 
 def reachable_skew(
@@ -244,49 +256,26 @@ def reachable_skew(
     CapExceededError once the closure needs more than ``cap`` vertices,
     which is how an infinite closure surfaces, and rejects a cap below
     |V|.  A finite group bounds the closure by |V|·|G| vertices and the
-    cap does not apply.
+    cap does not apply.  States and elements are numbered as first met;
+    each state's out-edges are one run, handed over in ``_out``; the
+    names ``v@g`` and ``e@g`` are columns over host names and encodings.
     """
     _check_labelling(host, c)
-    group = c.group
-    if group.is_finite:
-        cap = len(host.vertices) * group.order
-    elif cap < len(host.vertices):
+    n = len(host.vertices)
+    if c.group.is_finite:
+        cap = n * c.group.order
+    elif cap < n:
         raise ValueError("cap must be at least the host vertex count")
-    return _explore(host, c, range(len(host.vertices)), cap)
-
-
-def _explore(
-    host: DirectedMultigraph, c: Labelling, seeds: Iterable[int], cap: int,
-    elements: list[Element] | None = None,
-) -> DirectedMultigraph:
-    """The skew graph found by a breadth-first walk over the skew states
-    (v, g) from ``seeds``, each packed as t*n + v, t the number of g.
-
-    States are numbered in discovery order; elements in the order they
-    are first met, after ``elements`` (by default the identity alone).
-    Skew edges come in the order their sources are dequeued or, given
-    ``elements``, sorted by (host edge, element number).  Needing more
-    than ``cap`` states raises CapExceededError.  The names ``v@g`` and
-    ``e@g`` are name columns over the host's names and the element
-    encodings.  Without ``elements``, each state's out-edges are one
-    run, handed over as ``_out``, a list of ranges.
-    """
-    by_edge = elements is not None
     # The edge (e, s) runs from (s(e), c(e)+s), so the edges leaving the
     # state (v, t) have s = t - c(e).
-    elements, tables, step = _numbering(c, negate=True, elements=elements)
-    n = len(host.vertices)
+    elements, tables, step = _numbering(c, negate=True)
     out, ends = host._out, host._dst
     # State i is (vs[i], ts[i]), found under its packed key t*n + v.
-    state_of = dict(zip(seeds, count()))
-    vs = [key % n for key in state_of]
-    ts = [key // n for key in state_of]
+    vs, ts = list(range(n)), [0] * n
+    state_of = dict(zip(vs, vs))
     # The skew edge (e, s) from state i to state j, as three columns: its
     # element s is its range's.  The edges of state i start at starts[i].
-    se: list[int] = []
-    src: list[int] = []
-    dst: list[int] = []
-    starts: list[int] = []
+    se, src, dst, starts = [], [], [], []
     for i, v in enumerate(vs):
         t = ts[i]
         starts.append(len(dst))
@@ -307,18 +296,13 @@ def _explore(
             se.append(k)
             src.append(i)
             dst.append(j)
-    if by_edge:
-        key = [k * len(elements) + ts[j] for k, j in zip(se, dst)]
-        order = sorted(range(len(key)), key=key.__getitem__)
-        se, src, dst = ([col[x] for x in order] for col in (se, src, dst))
     encs = list(map(c.group.name_encode, elements))
     g = DirectedMultigraph._from_indices(
         _Names((host.vertices, vs), (encs, ts)),
         _Names((host._names, se), (_Names((encs, ts)), dst)), src, dst,
     )
-    if not by_edge:
-        starts.append(len(dst))
-        g._out = list(map(range, starts, starts[1:]))
+    starts.append(len(dst))
+    g._out = list(map(range, starts, starts[1:]))
     return g
 
 

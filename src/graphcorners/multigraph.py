@@ -219,7 +219,7 @@ class DirectedMultigraph:
     def __getattr__(self, name: str) -> dict[str, int] | list[list[int]]:
         # The name indexes and adjacency lists are each built on first use:
         # a printed graph needs none of them, and a skew product only _out,
-        # which the reachable skew's explorer hands over as ranges.
+        # which reachable_skew's walk hands over as ranges.
         if name in ("_index", "_edge_index"):
             items = self.vertices if name == "_index" else self._names
             value = dict(zip(items, range(len(items))))

@@ -381,11 +381,15 @@ def test_check_kirchhoff_negative_bound_exit_2(files, capsys):
     path = files("balanced.graph", BALANCED)
     code, out, _ = run(capsys, ["check-kirchhoff", path, "--group", "z"])
     assert code == 0 and out.strip() == "PASS"
-    code, out, err = run(
-        capsys, ["check-kirchhoff", path, "--group", "z", "--bound", "-1"]
-    )
-    assert code == 2 and out == ""
-    assert err == "bound must be non-negative\n"
+    # With --loops-only the bound goes unused, and is still checked: on
+    # this loop the cycle-label check would print FAIL.
+    loop = files("loop.graph", LOOP1)
+    for argv in (["check-kirchhoff", path, "--group", "z", "--bound", "-1"],
+                 ["check-kirchhoff", loop, "--group", "z3", "--bound", "-1",
+                  "--loops-only"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "bound must be non-negative\n"
 
 
 def test_check_kirchhoff_loops_only(files, capsys):

@@ -309,14 +309,21 @@ def test_iso_digest(iso_pairs, pairs):
 # at v0 prints 58k lines, a 720-vertex layered graph labelled in z by
 # potential differences, and a 3,000-vertex random multigraph labelled
 # in z5, whose voltage-law certificate has a 162-edge prefix and a
-# 56-edge cycle.
+# 56-edge cycle.  The full skews under z5 of the DAG and the random
+# multigraph pin 7,500 and 15,000 vertices in their order.
 BIG_DIGESTS = {
     ("baseline", "check-kirchhoff --group z5"):
         "685593e898d1b3e5ddccb68bb67af117a2344929381d8e19ac90e25edf237ed7",
+    ("baseline", "skew --group z5"):
+        "28933106bf7fb28004b6850d49995356333756cb6c7766f6a40d41deeb59b01e",
+    ("baseline", "skew --group z5 --dot"):
+        "c129c3f863f10318e6b8bc6534b57e4d67df1fb8cadb9d760a8a7b608b866bd0",
     ("dag", "corner --roots v0"):
         "3c3bc40f0b9137ea223f38f05f206c7316788c1c6be53e7003cf925c19d5b630",
     ("dag", "fixed-point --group z5"):
         "e1e51480ab24df4a13987e1f864d7b6d5b5191b16d23aa7e6512738b06b3fde1",
+    ("dag", "skew --group z5 --relabel"):
+        "2090f06a1a10bf4ae38aa62d1e393f398cf756bab0b6630ea92d1087bcc55c28",
     ("layered", "fixed-point --group z --cap 4320"):
         "04a9355bec3f07d2dab0cc5430982aae5d4a32903dd0e697f2a38764ca347b2a",
 }

@@ -29,6 +29,7 @@ from sample_graphs import (
     cyc6,
     edge1,
     enumerate_simple_cycles,
+    odd_names,
     random_multigraph,
     rose2,
     simulate_kirchhoff_certificate,
@@ -226,6 +227,48 @@ class TestSkewProduct:
                     assert ske.src == f"{e.src}@{group.name_encode(src_coord)}"
                     assert ske.dst == f"{e.dst}@{group.name_encode(s)}"
 
+    @pytest.mark.parametrize("spec", ["z1", "z4", "z2,z3", "z3,z1,z2"])
+    @pytest.mark.parametrize("shape", ["empty", "point", "rose", "sparse",
+                                       "edgeless"])
+    def test_matches_definition(self, spec, shape):
+        # The skew product whole against one built from its definition
+        # through the public constructor: the vertex (v, g) for each v,
+        # then g in lexicographic order, and the edge (e, g) from
+        # (s(e), c(e)+g) to (r(e), g) for each e, then g.  Labels reach
+        # outside [0, m), names hold '@', and edges repeat and loop.
+        group = GroupSpec.parse(spec)
+        rng = random.Random(f"{spec} {shape}")
+        n = {"empty": 0, "point": 1, "rose": 1}.get(shape)
+        n = rng.randint(200, 300) if n is None else n
+        m = {"empty": 0, "point": 0, "edgeless": 0, "rose": 4}.get(
+            shape, 2 * n)
+        vs, es = odd_names(rng.random(), n), odd_names(rng.random(), m)
+        edges = []
+        for name in es:
+            if edges and rng.random() < 0.2:  # parallel to the last edge
+                src, dst = edges[-1][1:3]
+            else:
+                src = rng.choice(vs)
+                dst = src if rng.random() < 0.1 else rng.choice(vs)
+            label = ",".join(str(rng.randint(-9, 9)) for _ in group.moduli)
+            if rng.random() < 0.1:  # unlabelled: the identity
+                label = None
+            edges.append((name, src, dst, label))
+        g = DirectedMultigraph(vs, edges)
+        c = Labelling.from_graph(g, group)
+        at = [group.name_encode(x) for x in group.elements()]
+        expected = DirectedMultigraph(
+            [f"{v}@{x}" for v in g.vertices for x in at],
+            [(f"{e.name}@{at[t]}",
+              f"{e.src}@{group.name_encode(group.op(c.label(e.name), x))}",
+              f"{e.dst}@{at[t]}")
+             for e in g.edges for t, x in enumerate(group.elements())],
+        )
+        sk = skew_product(g, c)
+        assert tuple(sk.vertices) == expected.vertices
+        assert sk.edges == expected.edges
+        assert sk == expected
+
     def test_trivial_group_reproduces_host(self):
         for seed in range(10):
             g = random_multigraph(random.Random(seed), max_v=5, max_e=8)
@@ -294,7 +337,7 @@ class TestReachableSkew:
                 assert e.dst in kept  # closure is hereditary
 
     def test_out_ranges_are_the_adjacency_of_the_edges(self):
-        # The explorer hands each state's run of out-edges over as a
+        # reachable_skew hands each state's run of out-edges over as a
         # range; it must list exactly the edges whose source is the state.
         for seed in range(30):
             rng = random.Random(seed)
