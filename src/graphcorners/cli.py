@@ -54,9 +54,9 @@ graph file format (UTF-8, line oriented):
   vertex NAME
   edge NAME SRC DST [LABEL]
 names match [A-Za-z0-9_@.-]+; endpoints must be declared before use.
-LABEL is a group element: comma-joined decimal coordinates, one per
-group factor (e.g. 2 in z3, -2,1 in z,z2); unlabelled edges carry the
-identity.
+LABEL is a group element: comma-joined decimal coordinates of at most
+4300 digits, one per group factor (e.g. 2 in z3, -2,1 in z,z2);
+unlabelled edges carry the identity.
 """
 
 
@@ -299,6 +299,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Exact results print whole: the interpreter's limit on the digits of
+    # an int turned to str (where it has one) is lifted for the run.
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "cap", 0) < 0:  # skew and fixed-point, any group

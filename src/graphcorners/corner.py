@@ -107,6 +107,11 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
         if kept[s] < 0 or parent_edge[d] == k:
             continue
         at, n = first[d], size[d]
+        if n == 1:
+            origin.append(k)
+            edge_src.append(kept[s])
+            edge_dst.append(pre[at])
+            continue
         ids = pre[at:at + n]
         ids.sort()
         origin += [k] * n

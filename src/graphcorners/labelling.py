@@ -25,13 +25,15 @@ from .multigraph import (
     _strongly_connected_components,
     is_acyclic,
 )
-from .subtree import DirectedSubtree, build_spanning_subtree
+# build_spanning_subtree stays a name here: bench/tracing.py wraps it.
+from .subtree import DirectedSubtree, build_spanning_subtree  # noqa: F401
 
 DEFAULT_CAP = 10_000
 DEFAULT_BOUND = 100
 
 _FACTOR_RE = re.compile(r"[zZ]([1-9][0-9]*)?")
-_COORDINATE_RE = re.compile(r"[+-]?[0-9]+")
+# At most 4,300 digits (CPython's default limit on reading an int).
+_COORDINATE_RE = re.compile(r"[+-]?[0-9]{1,4300}")
 
 Element = tuple[int, ...]
 
@@ -109,7 +111,7 @@ class GroupSpec(NamedTuple("GroupSpec", [("moduli", tuple[int, ...])])):
         yield from product(*(range(m) for m in self.moduli))
 
     def parse_element(self, text: str) -> Element:
-        """Comma-joined plain decimal coordinates, ``[+-]?[0-9]+`` each."""
+        """Comma-joined decimal coordinates, ``[+-]?[0-9]{1,4300}`` each."""
         tokens = text.split(",")
         if not all(map(_COORDINATE_RE.fullmatch, tokens)):
             raise ValueError(f"bad group element {text!r}")
@@ -135,6 +137,8 @@ class Labelling(NamedTuple):
         """Read labels from the edges' label column; unlabelled means identity.
         Each distinct text is parsed once; an error names its first edge."""
         labels = host._labels
+        if labels is None:  # a derived graph: no edge has a label
+            return cls(host, group, (group.identity,) * len(host._names))
         element: dict[str | None, Element] = {None: group.identity}
         for label in dict.fromkeys(labels):
             if label is not None:
@@ -259,7 +263,17 @@ def reachable_skew(
     cap does not apply.  States and elements are numbered as first met;
     each state's out-edges are one run, handed over in ``_out``; the
     names ``v@g`` and ``e@g`` are columns over host names and encodings.
+    The walk also records the BFS tree of the skew from the identity
+    fibre, which ``fixed_point_pipeline`` takes from ``_skew_walk``.
     """
+    return _skew_walk(host, c, cap)[0]
+
+
+def _skew_walk(
+    host: DirectedMultigraph, c: Labelling, cap: int
+) -> tuple[DirectedMultigraph, list[int]]:
+    """The reachable skew, and the tree edge entering each state (-1 in
+    the identity fibre) that ``build_spanning_subtree`` picks from it."""
     _check_labelling(host, c)
     n = len(host.vertices)
     if c.group.is_finite:
@@ -276,7 +290,16 @@ def reachable_skew(
     # The skew edge (e, s) from state i to state j, as three columns: its
     # element s is its range's.  The edges of state i start at starts[i].
     se, src, dst, starts = [], [], [], []
+    # States are numbered in BFS order.  The first edge to reach a state
+    # is its parent; a later one from the level above, while the state is
+    # in the next level (from lo on), takes over when its name is smaller.
+    # Both end in @g, so host names with '@' decide, unless an '@' in a
+    # host name lets one begin another: then whole names are compared.
+    names, encode = host._names, c.group.name_encode
+    nested, parent, lo = "@" in "".join(names), [-1] * n, n
     for i, v in enumerate(vs):
+        if i == lo:
+            lo = len(vs)
         t = ts[i]
         starts.append(len(dst))
         for k in out[v]:
@@ -293,17 +316,24 @@ def reachable_skew(
                 j = state_of[nxt] = len(vs)
                 vs.append(ends[k])
                 ts.append(s)
+                parent.append(len(dst))
+            elif j >= lo and (
+                    f"{names[k]}@{encode(elements[s])}"
+                    < f"{names[se[parent[j]]]}@{encode(elements[s])}"
+                    if nested else
+                    names[k] + "@" < names[se[parent[j]]] + "@"):
+                parent[j] = len(dst)
             se.append(k)
             src.append(i)
             dst.append(j)
-    encs = list(map(c.group.name_encode, elements))
+    encs = list(map(encode, elements))
     g = DirectedMultigraph._from_indices(
         _Names((host.vertices, vs), (encs, ts)),
         _Names((host._names, se), (_Names((encs, ts)), dst)), src, dst,
     )
     starts.append(len(dst))
     g._out = list(map(range, starts, starts[1:]))
-    return g
+    return g, parent
 
 
 class KirchhoffResult(NamedTuple):
@@ -477,12 +507,14 @@ def fixed_point_pipeline(
     and the corner graph along it.
 
     The resulting corner graph presents the subalgebra of the host graph
-    algebra fixed by the coaction the labelling induces.
+    algebra fixed by the coaction the labelling induces.  The tree comes
+    from the skew walk, which records it as it goes: the same tree as
+    ``build_spanning_subtree``'s, with no second pass over the skew.
     """
-    skew, n = reachable_skew(host, c, cap), len(host.vertices)
-    # The identity fibre: the skew's first n vertices, maybe none.
-    tree = (build_spanning_subtree(skew, range(n), indices=True) if n
-            else DirectedSubtree(skew, [], []))
+    skew, parent = _skew_walk(host, c, cap)
+    # The walk visits every state, parents first, in state order.
+    tree = DirectedSubtree(skew, parent, range(len(parent)))
+    tree.__dict__["_order"] = tree.spanned_indices
     return FixedPointResult(skew, tree, corner_graph(skew, tree))
 
 

@@ -213,7 +213,7 @@ class DirectedMultigraph:
         the CLI's ``--relabel`` names ``v{i}``/``e{k}`` are positional."""
         g = cls.__new__(cls)
         g.vertices, g._names, g._src, g._dst = vertices, names, src, dst
-        g._labels = labels or [None] * len(names)
+        g._labels = labels  # None: no edge has a label
         return g
 
     def __getattr__(self, name: str) -> dict[str, int] | list[list[int]]:
@@ -238,7 +238,8 @@ class DirectedMultigraph:
         return self._columns() == other._columns()
 
     def _columns(self) -> tuple:
-        return self.vertices, self._names, self._src, self._dst, self._labels
+        return (self.vertices, self._names, self._src, self._dst,
+                self._labels or [None] * len(self._names))
 
     def __repr__(self) -> str:
         return (
@@ -249,14 +250,15 @@ class DirectedMultigraph:
     def _edge(self, k: int) -> Edge:
         vs = self.vertices
         return Edge(self._names[k], vs[self._src[k]], vs[self._dst[k]],
-                    self._labels[k])
+                    self._labels[k] if self._labels else None)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         """All edges, in insertion order."""
         vs = list(self.vertices)
         return tuple(map(Edge, self._names, map(vs.__getitem__, self._src),
-                         map(vs.__getitem__, self._dst), self._labels))
+                         map(vs.__getitem__, self._dst),
+                         self._labels or repeat(None)))
 
     def has_vertex(self, v: str) -> bool:
         return v in self._index
@@ -414,14 +416,15 @@ def _graph_blocks(g: DirectedMultigraph) -> Iterator[str]:
     """The graph file format of g, in blocks of ``_BLOCK`` lines; a range
     name that ends its edge's name is gathered once for both."""
     vs, src, dst, labels = list(g.vertices), g._src, g._dst, g._labels
-    tails = {x: "\n" if x is None else f" {x}\n" for x in set(labels)}
+    tails = {x: "\n" if x is None else f" {x}\n"
+             for x in (set(labels) if labels else (None,))}
     tail = tails.popitem()[1] if len(tails) == 1 else None
     for start in range(0, len(vs), _BLOCK):
         yield _lines("vertex ", vs[start:start + _BLOCK], "\n")
     seq, idx = getattr(g._names, "_last", (None, None))
     lead = (len(g._names._parts) - len(_Names((seq, idx))._parts) or None
             if seq is g.vertices and idx is dst else None)
-    for start, name in zip(range(0, len(labels), _BLOCK),
+    for start, name in zip(range(0, len(src), _BLOCK),
                            _name_fields(g._names, lead)):
         stop = start + _BLOCK
         ranges = [vs[v] for v in dst[start:stop]]

@@ -30,7 +30,7 @@ class SubtreeValidationError(ValueError):
 
 class DirectedSubtree(NamedTuple("DirectedSubtree", [
     ("host", DirectedMultigraph), ("parent_edge", list[int]),
-    ("spanned_indices", list[int]),
+    ("spanned_indices", Sequence[int]),
 ])):
     """A validated subtree, held on host indices: ``parent_edge[v]`` is the
     tree edge entering vertex v (-1 for roots and unspanned vertices), and
@@ -39,8 +39,10 @@ class DirectedSubtree(NamedTuple("DirectedSubtree", [
     ``roots`` and ``parent`` (non-root spanned vertex -> its tree edge),
     and the parents-first order ``_order``, are built on first use and
     kept in the instance ``__dict__``, which this subclass has for want
-    of ``__slots__``.  Instances come from :func:`validate_subtree` or
-    :func:`build_spanning_subtree` and always satisfy the invariants.
+    of ``__slots__``.  Instances come from :func:`validate_subtree`,
+    :func:`build_spanning_subtree` or the skew walk of the fixed-point
+    pipeline (one range for ``spanned_indices`` and ``_order``), and
+    always satisfy the invariants.
     """
 
     @cached_property
@@ -84,8 +86,8 @@ class DirectedSubtree(NamedTuple("DirectedSubtree", [
     @cached_property
     def _order(self) -> list[int]:
         """The spanned vertices, each after its tree parent.  A tree from
-        :func:`build_spanning_subtree` keeps its BFS queue here; otherwise
-        the roots come first, then their children, breadth first."""
+        :func:`build_spanning_subtree` or the skew walk keeps its BFS order
+        here; otherwise the roots, then the rest breadth first."""
         children = self._children
         order = [v for v in self.spanned_indices if self.parent_edge[v] < 0]
         for v in order:

@@ -12,6 +12,7 @@ import pytest
 
 import graphcorners
 from graphcorners import (
+    GraphFormatError,
     GroupSpec,
     Labelling,
     build_spanning_subtree,
@@ -330,6 +331,97 @@ def test_fd_dims_roots_on_diamond_ladder(files, capsys):
     assert code == 0
     assert out == f"{2 ** 60}\n"
     assert took < 1.0
+
+
+def _whole(x: int) -> str:
+    """Python's own decimal text of x, with the interpreter's limit on
+    the digits of an int turned to str lifted here, where it has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return str(x)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def diamond_chain_text(n: int) -> str:
+    """v0 -> a_i, b_i -> v_{i+1} for i < n: 2^n paths from v0 to v_n."""
+    lines = [f"vertex v{i}" for i in range(n + 1)]
+    lines += [f"vertex {m}{i}" for i in range(n) for m in "ab"]
+    lines += [f"edge {m}{i}{d} {u} {w}" for i in range(n) for m in "ab"
+              for d, u, w in (("i", f"v{i}", f"{m}{i}"),
+                              ("o", f"{m}{i}", f"v{i + 1}"))]
+    return "\n".join(lines) + "\n"
+
+
+def doubled_cycle_text(n: int) -> str:
+    """An n-cycle with every edge doubled: K0 = Z/(2^n - 1)."""
+    lines = [f"vertex c{i}" for i in range(n)]
+    lines += [f"edge {d}{i} c{i} c{(i + 1) % n}" for i in range(n) for d in "xy"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", ["fd-dims", "kth"])
+def test_exact_integers_print_whole(files, capsys, command):
+    # 2^15000 has 4,516 digits, past CPython's default limit of 4,300 for
+    # turning an int to str; main lifts it for the run and puts it back.
+    if command == "fd-dims":
+        path = files("chain.graph", diamond_chain_text(15_000))
+        argv = [command, path, "--roots", "v0"]
+        expected = _whole(2 ** 15_000) + "\n"
+    else:
+        path = files("cycle.graph", doubled_cycle_text(15_000))
+        argv = [command, path]
+        expected = f"K0 = Z/{_whole(2 ** 15_000 - 1)}\nK1 = 0\n"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert run(capsys, argv) == (0, expected, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    with pytest.raises(SystemExit):  # argparse exits on a missing file
+        main([command])
+    capsys.readouterr()
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    done = subprocess.run(
+        [sys.executable, "-m", "graphcorners.cli", *argv],
+        env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+
+
+def test_label_coordinates_hold_at_most_4300_digits(files, capsys):
+    # Two labels of 4,300 nines add up to 4,301 digits, which print whole;
+    # a coordinate of 4,301 digits is refused, by the library as well.
+    nines = "9" * 4300
+    path = files("long.graph", "vertex a\nvertex b\nvertex c\n"
+                 f"edge e a b {nines}\nedge f b c {nines}\n")
+    code, out, err = run(capsys, ["skew", path, "--group", "z"])
+    assert (code, err) == (0, "")
+    assert f"vertex c@{_whole(-2 * int(nines))}\n" in out
+    path = files("longer.graph", f"vertex a\nedge e a a 1{nines}\n")
+    code, out, err = run(capsys, ["skew", path, "--group", "z"])
+    assert (code, out) == (2, "")
+    assert err.startswith("edge 'e': bad group element '1999")
+    with pytest.raises(GraphFormatError, match="bad group element"):
+        Labelling.from_graph(parse_graph(f"vertex a\nedge e a a 1{nines}"),
+                             GroupSpec.parse("z"))
+
+
+@pytest.mark.parametrize("flags", [[], ["--dot"], ["--relabel"]])
+def test_fixed_point_output_reads_as_its_parsed_back_corner(files, capsys,
+                                                            flags):
+    # The pipeline's corner holds no label column; written plain, as DOT
+    # or relabelled, it reads as the same corner parsed back, whose label
+    # column is a list of None.
+    path = files("dag.graph", big_dag_text(n=300))
+    code, out, _ = run(capsys, ["fixed-point", path, "--group", "z5", *flags])
+    host = parse_graph(Path(path).read_text(encoding="utf-8"))
+    corner = fixed_point_pipeline(
+        host, Labelling.from_graph(host, GroupSpec.parse("z5"))).corner.graph
+    args = argparse.Namespace(dot="--dot" in flags,
+                              relabel="--relabel" in flags)
+    _emit_graph(parse_graph(serialize_graph(corner)), args)
+    assert code == 0 and out == capsys.readouterr().out
 
 
 def test_fd_dims_rejects_cycles(files, capsys):

@@ -22,9 +22,11 @@ from graphcorners import (
     skew_product,
 )
 
+from graphcorners import labelling, multigraph, subtree
 from reference import Path, path_label
 from sample_graphs import (
     big_dag_text,
+    layered_potential_text,
     brute_force_kirchhoff_fails,
     cyc6,
     edge1,
@@ -612,6 +614,31 @@ class TestCycleLabels:
 
 
 class TestFixedPoint:
+    def test_one_breadth_first_pass_over_the_skew(self, monkeypatch):
+        # The walk that builds the reachable skew records its BFS tree, so
+        # the pipeline calls neither the tree builder nor a name key over
+        # the skew's edges (a key read past the range column): each would
+        # be a second pass.  The corner's vertex key stays allowed.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second pass over the skew")
+
+        real_key, real_method = multigraph._order_key, multigraph._Names.order_key
+        monkeypatch.setattr(multigraph._Names, "order_key",
+                            lambda names, through=None: refuse()
+                            if through is not None else real_method(names))
+        for module in (multigraph, subtree):
+            monkeypatch.setattr(module, "_order_key",
+                                lambda names, through=None: refuse()
+                                if through is not None else real_key(names))
+        for module in (labelling, subtree):
+            monkeypatch.setattr(module, "build_spanning_subtree", refuse)
+        for text, spec, cap in ((big_dag_text(n=600), "z5", 10_000),
+                                (layered_potential_text(), "z", 4320)):
+            host = parse_graph(text)
+            c = Labelling.from_graph(host, GroupSpec.parse(spec))
+            result = fixed_point_pipeline(host, c, cap)
+            assert len(result.corner.graph._names) > len(host._names)
+
     def test_rose2_z3_shape(self):
         g, c = rose2_z3()
         result = fixed_point_pipeline(g, c, 100)

@@ -786,10 +786,85 @@ def test_dot_sorts_derived_names_as_strings(vertices):
     assert labels == sorted(e.name for e in skew.edges)
 
 
+def _assert_tree_is_the_bfs_builders(result, n):
+    bfs = build_spanning_subtree(result.skew, range(n), indices=True)
+    tree = result.tree
+    assert tree.parent_edge == bfs.parent_edge
+    assert list(tree.spanned_indices) == bfs.spanned_indices
+    assert list(tree._order) == bfs._order
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hosts_named_with_at())
+def test_walk_tree_is_the_bfs_builders_tree(drawn):
+    # The skew walk records the BFS tree of the fixed-point pipeline as it
+    # numbers the states; the builder, run over the finished skew, must
+    # pick the same parent for every state.  Hosts named like a and
+    # a@0@1 need the element encodings to break some ties.
+    host, coords, _ = drawn
+    for spec in ("z2", "z3", "z2,z3", "z"):
+        group = GroupSpec.parse(spec)
+        c = Labelling.from_map(host, group, {
+            k: (b, a) if len(group.moduli) == 2 else a
+            for k, (a, b) in coords.items()})
+        try:
+            result = fixed_point_pipeline(host, c, cap=64)
+        except CapExceededError:
+            continue
+        _assert_tree_is_the_bfs_builders(result, len(host.vertices))
+
+
+def test_walk_tree_tie_break_reads_the_element_when_names_nest():
+    # Both edges, labelled 1 in z2, run from the identity fibre into the
+    # state x@1.  As host names with '@', a@ begins a@0@, so their ranks
+    # pick a; the skew names a@1 and a@0@1 pick a@0, as str does.
+    host = DirectedMultigraph(["u", "w", "x"], [("a", "u", "x", "1"),
+                                               ("a@0", "w", "x", "1")])
+    result = fixed_point_pipeline(
+        host, Labelling.from_graph(host, GroupSpec.parse("z2")))
+    skew, tree = result.skew, result.tree
+    x1 = list(skew.vertices).index("x@1")
+    assert skew._names[tree.parent_edge[x1]] == "a@0@1"
+    _assert_tree_is_the_bfs_builders(result, len(host.vertices))
+
+
+def test_derived_graphs_hold_no_label_column():
+    # Skews, corners and --relabel copies keep None for their labels and
+    # make no list of them, yet compare equal to their parsed-back copies,
+    # whose label column is a list of None, and read as unlabelled.  (The
+    # positional names of --relabel compare equal to no tuple, so that
+    # copy is compared through its edges.)
+    host = parse_graph(big_dag_text(n=300))
+    c = Labelling.from_graph(host, GroupSpec.parse("z5"))
+    result = fixed_point_pipeline(host, c)
+    derived = [skew_product(host, c), reachable_skew(host, c), result.skew,
+               result.corner.graph,
+               corner_graph(host, build_spanning_subtree(host, ["v0"])).graph]
+    derived.append(DirectedMultigraph._from_indices(
+        _Positional("v", len(derived[-1].vertices)),
+        _Positional("e", len(derived[-1]._names)),
+        derived[-1]._src, derived[-1]._dst, derived[-1]._labels))
+    for g in derived:
+        assert g._labels is None
+        back = parse_graph(serialize_graph(g))
+        assert back._labels == [None] * len(g._names)
+        assert isinstance(g.vertices, _Positional) or g == back == g
+        assert g.edges == back.edges
+        assert {e.label for e in g.edges} == {None}
+        assert g.edge(g._names[0]).label is None
+        assert to_dot(g) == to_dot(back)
+    skew = result.skew
+    z5 = Labelling.from_graph(skew, GroupSpec.parse("z5"))
+    assert z5.by_index == ((0,),) * len(skew._names)
+    assert z5 == Labelling.from_graph(parse_graph(serialize_graph(skew)),
+                                      GroupSpec.parse("z5"))
+
+
 def line_by_line(g: DirectedMultigraph) -> str:
     """The graph file format of g, each name read by index, one line at a
     time."""
-    vs, names, labels = g.vertices, g._names, g._labels
+    vs, names = g.vertices, g._names
+    labels = g._labels or [None] * len(names)  # a derived graph holds None
     text = "".join(f"vertex {vs[i]}\n" for i in range(len(vs)))
     for k in range(len(names)):
         tail = "" if labels[k] is None else f" {labels[k]}"
