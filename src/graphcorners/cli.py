@@ -38,6 +38,7 @@ from .multigraph import (
     GraphFormatError,
     _dot_blocks,
     _graph_blocks,
+    _Names,
     hereditary_closure,
     parse_graph,
     serialize_graph,  # noqa: F401  (bench/tracing.py wraps it here)
@@ -88,6 +89,9 @@ class _Positional(Sequence):
         if isinstance(i, range):
             return list(map(self._format, i))
         return self._format(i)
+
+    __eq__ = _Names.__eq__
+    __hash__ = None  # type: ignore[assignment]
 
 
 def _emit_graph(g: DirectedMultigraph, args: argparse.Namespace) -> None:

@@ -124,8 +124,9 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
     kept_names = _Names((vs, kept_indices))
     edge_names = _Names((names, origin), (kept_names, edge_dst))
     # Distinct pairs (e, u) give distinct names e@u when all kept names
-    # hold the same number b of '@': u is what follows the (b+1)-th last.
-    if len(kept_names.at_counts()) > 1:
+    # hold one number b of '@', as they do when each table of their parts
+    # does: u is what follows the (b+1)-th last '@'.
+    if any(len({s.count("@") for s in t}) > 1 for t, _ in kept_names._parts):
         edge_names = list(edge_names)
         _unclash(edge_names)
     graph = DirectedMultigraph._from_indices(

@@ -22,6 +22,7 @@ from .multigraph import (
     DirectedMultigraph,
     GraphFormatError,
     _Names,
+    _nests,
     _strongly_connected_components,
     is_acyclic,
 )
@@ -237,7 +238,7 @@ def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
     # shift[g][t] is the number of g + elements[t], one list per label g.
     shift = {g: [numbers[add(g, x)] for x in elements]
              for g in set(c.by_index)}
-    per, encs = range(m), list(map(group.name_encode, elements))
+    per = range(m)
     src = [a * m + t for a, g in zip(host._src, c.by_index) for t in shift[g]]
     dst = [b * m + t for b in host._dst for t in per]
     # Each host vertex and edge index |G| times, beside t = 0, ..., |G|-1.
@@ -245,9 +246,16 @@ def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
               for x in (host.vertices, host._names))
     ts = list(per) * len(host.vertices)
     return DirectedMultigraph._from_indices(
-        _Names((host.vertices, vs), (encs, ts)),
-        _Names((host._names, se), (_Names((encs, ts)), dst)), src, dst,
-    )
+        *_skew_names(host, group, elements, vs, ts, se, dst), src, dst)
+
+
+def _skew_names(host, group, elements, vs, ts, se, dst) -> tuple:
+    """The name columns of a skew: state i is ``v@g`` for v the host
+    vertex vs[i] and g the element ts[i] numbers, and edge k is ``e@g``
+    for e the host edge se[k] and g the element of its range dst[k]."""
+    encs = list(map(group.name_encode, elements))
+    return (_Names((host.vertices, vs), (encs, ts)),
+            _Names((host._names, se), (_Names((encs, ts)), dst)))
 
 
 def reachable_skew(
@@ -293,10 +301,10 @@ def _skew_walk(
     # States are numbered in BFS order.  The first edge to reach a state
     # is its parent; a later one from the level above, while the state is
     # in the next level (from lo on), takes over when its name is smaller.
-    # Both end in @g, so host names with '@' decide, unless an '@' in a
-    # host name lets one begin another: then whole names are compared.
+    # Both end in @g, so host names with '@' decide, unless the host
+    # names nest: then whole names are compared.
     names, encode = host._names, c.group.name_encode
-    nested, parent, lo = "@" in "".join(names), [-1] * n, n
+    nested, parent, lo = _nests(names), [-1] * n, n
     for i, v in enumerate(vs):
         if i == lo:
             lo = len(vs)
@@ -326,11 +334,8 @@ def _skew_walk(
             se.append(k)
             src.append(i)
             dst.append(j)
-    encs = list(map(encode, elements))
     g = DirectedMultigraph._from_indices(
-        _Names((host.vertices, vs), (encs, ts)),
-        _Names((host._names, se), (_Names((encs, ts)), dst)), src, dst,
-    )
+        *_skew_names(host, c.group, elements, vs, ts, se, dst), src, dst)
     starts.append(len(dst))
     g._out = list(map(range, starts, starts[1:]))
     return g, parent

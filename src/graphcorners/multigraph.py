@@ -114,7 +114,7 @@ class _Names(Sequence):
         return "@".join(parts)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (_Names, tuple, list)):
+        if not isinstance(other, (type(self), _Names, tuple, list)):
             return NotImplemented
         return len(self) == len(other) and all(
             a == b for a, b in zip(self, other))
@@ -124,50 +124,42 @@ class _Names(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def at_counts(self) -> set[int]:
-        """The numbers of '@' the names hold: read from the tables alone
-        when each table's strings all hold one number, else name by name."""
-        counts = [[s.count("@") for s in table] for table, _ in self._parts]
-        if all(len(set(c)) <= 1 for c in counts):
-            return {sum(c[0] for c in counts if c)}
-        return set(map(sum, zip(*(_read(c, columns) for c, (_, columns)
-                                  in zip(counts, self._parts)))))
-
-    def order_key(self, through: Sequence[int] | None = None) -> list[int]:
+    def order_key(self) -> list[int]:
         """Integer keys, one per name, in the str order of the names.
 
         Each part adds its string's rank in its table, the string taken
         with a trailing '@' in every part but the last.  That orders the
-        names exactly when, in those tables, no string followed by '@'
-        begins another: checked on each sorted table that holds an '@',
-        where such a string would come right before one it begins.
-        Otherwise the formatted names are ranked instead.  Parts read
-        through the column ``through`` are left out, so the keys order
-        the names that agree there.
+        names exactly when no such table ``_nests``; otherwise the
+        formatted names are ranked instead.
         """
         key, weight = None, 1
         for p, (table, columns) in enumerate(reversed(self._parts)):
-            if columns[0] is through:
-                continue
+            if p and _nests(table):
+                return _Names((list(self), range(self._len))).order_key()
             strings = [s + "@" for s in table] if p else table
             order = sorted(range(len(table)), key=strings.__getitem__)
-            if p and "@" in "".join(table) and any(map(
-                    str.startswith, map(strings.__getitem__, order[1:]),
-                    map(strings.__getitem__, order))):
-                return _Names((list(self), range(self._len))).order_key()
             rank = [0] * len(table)
             for r, x in enumerate(order):
                 rank[x] = r * weight
             column = _read(rank, columns)
             key = column if key is None else map(add, key, column)
             weight *= len(table)
-        return [0] * self._len if key is None else list(key)
+        return list(key)
 
 
-def _order_key(names: Sequence[str], through=None) -> Sequence:
+def _nests(table: Sequence[str]) -> bool:
+    """Whether some s + '@' begins another t + '@', s and t in the table:
+    only if it holds an '@', and then for two neighbours once sorted."""
+    if "@" not in "".join(table):
+        return False
+    strings = sorted(s + "@" for s in table)
+    return any(map(str.startswith, strings[1:], strings))
+
+
+def _order_key(names: Sequence[str]) -> Sequence:
     """Keys in the str order of names: a column's ``order_key``, and
     plain names themselves."""
-    return names.order_key(through) if isinstance(names, _Names) else names
+    return names.order_key() if isinstance(names, _Names) else names
 
 
 class DirectedMultigraph:
@@ -579,10 +571,12 @@ def relabelled(
 ) -> DirectedMultigraph:
     """Rename vertices (and optionally edges), preserving order and labels.
 
-    The new names come from outside, so each is checked as the public
-    constructor checks it, and the first malformed or repeated name is
-    rejected: the trusted constructor checks nothing.
+    The new names come from outside: the first vertex left unmapped, then
+    the first name malformed or repeated as the public constructor checks
+    it, is rejected, since the trusted constructor checks nothing.
     """
+    if missing := [v for v in g.vertices if v not in vertex_map]:
+        raise GraphFormatError(f"vertex {missing[0]!r} has no new name")
     emap = edge_map or {}
     h = DirectedMultigraph._from_indices(
         tuple([vertex_map[v] for v in g.vertices]),

@@ -183,26 +183,20 @@ def descendants(tree: DirectedSubtree, v: str) -> tuple[str, ...]:
     return tuple(map(tree.host.vertices.__getitem__, order))
 
 
-def build_spanning_subtree(
-    host: DirectedMultigraph, roots: Iterable[str] | Iterable[int],
-    indices: bool = False,
-) -> DirectedSubtree:
+def build_spanning_subtree(host: DirectedMultigraph,
+                           roots: Iterable[str]) -> DirectedSubtree:
     """BFS spanning subtree of the hereditary closure of the root set.
 
     Each non-root vertex at distance n gets one incoming edge from a
     vertex at distance n-1, choosing the lexicographically smallest
     qualifying edge name, so the result is reproducible.  The result
-    satisfies the subtree invariants by construction.  With ``indices``,
-    the roots are host vertex indices, and no name is looked up.
+    satisfies the subtree invariants by construction.
     """
     out, dst = host._out, host._dst
-    order = list(dict.fromkeys(
-        roots if indices else map(host._require_vertex, roots)))
+    order = list(dict.fromkeys(map(host._require_vertex, roots)))
     if not order:
         raise GraphFormatError("root set must be non-empty")
-    # The edges entering one vertex share the parts of their names read
-    # through _dst, so the other parts decide each tie.
-    key = _order_key(host._names, dst)
+    key = _order_key(host._names)
     depth = [-1] * len(host.vertices)
     parent_edge = [-1] * len(host.vertices)
     for v in order:

@@ -651,6 +651,10 @@ class TestExport:
         with pytest.raises(GraphFormatError,
                            match="^duplicate edge name 'e'$"):
             relabelled(loops, {"a": "a"}, {"f": "e"})
+        # A vertex the map leaves out is named, the first in vertex order.
+        with pytest.raises(GraphFormatError,
+                           match="^vertex 'b' has no new name$"):
+            relabelled(DirectedMultigraph(["a", "b", "c"]), {"a": "x"})
 
 
 def _slot_is_set(g: DirectedMultigraph, slot: str) -> bool:
@@ -702,20 +706,28 @@ AT_EDGES = ["e", "e@a", "e@0", "e@1@a", "f"]
 
 
 @st.composite
-def hosts_named_with_at(draw):
+def hosts_named_with_at(draw, edge_names=AT_EDGES):
     """A multigraph with loops and parallel edges, at least as many edges
-    as vertices, whose names come from the pools above; two label
-    coordinates per edge; and a root set."""
+    as vertices, whose names come from the pools above (or edge_names);
+    two label coordinates per edge; and a root set."""
     vs = draw(st.lists(st.sampled_from(AT_VERTICES), min_size=1,
                        unique=True))
     edges = draw(st.lists(
-        st.tuples(st.sampled_from(AT_EDGES), st.sampled_from(vs),
+        st.tuples(st.sampled_from(edge_names), st.sampled_from(vs),
                   st.sampled_from(vs)),
         min_size=len(vs), unique_by=lambda e: e[0]))
     coords = {e[0]: draw(st.tuples(st.integers(-2, 2), st.integers(0, 1)))
               for e in edges}
     roots = draw(st.lists(st.sampled_from(vs), min_size=1, unique=True))
     return DirectedMultigraph(vs, edges), coords, roots
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(AT_VERTICES + AT_EDGES + ["a@", "0", "0.1"]),
+                unique=True))
+def test_nests_is_the_pairwise_prefix_test(table):
+    assert multigraph._nests(table) == any(
+        s != t and (t + "@").startswith(s + "@") for s in table for t in table)
 
 
 def _labellings(host, coords):
@@ -787,20 +799,14 @@ def test_dot_sorts_derived_names_as_strings(vertices):
 
 
 def _assert_tree_is_the_bfs_builders(result, n):
-    bfs = build_spanning_subtree(result.skew, range(n), indices=True)
+    bfs = build_spanning_subtree(result.skew, result.skew.vertices[:n])
     tree = result.tree
     assert tree.parent_edge == bfs.parent_edge
     assert list(tree.spanned_indices) == bfs.spanned_indices
     assert list(tree._order) == bfs._order
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(hosts_named_with_at())
-def test_walk_tree_is_the_bfs_builders_tree(drawn):
-    # The skew walk records the BFS tree of the fixed-point pipeline as it
-    # numbers the states; the builder, run over the finished skew, must
-    # pick the same parent for every state.  Hosts named like a and
-    # a@0@1 need the element encodings to break some ties.
+def _assert_walk_tree_is_the_bfs_builders(drawn):
     host, coords, _ = drawn
     for spec in ("z2", "z3", "z2,z3", "z"):
         group = GroupSpec.parse(spec)
@@ -812,6 +818,37 @@ def test_walk_tree_is_the_bfs_builders_tree(drawn):
         except CapExceededError:
             continue
         _assert_tree_is_the_bfs_builders(result, len(host.vertices))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hosts_named_with_at())
+def test_walk_tree_is_the_bfs_builders_tree(drawn):
+    # The skew walk records the BFS tree of the fixed-point pipeline as it
+    # numbers the states; the builder, run over the finished skew, must
+    # pick the same parent for every state.  Hosts named like a and
+    # a@0@1 need the element encodings to break some ties.
+    _assert_walk_tree_is_the_bfs_builders(drawn)
+
+
+# Edge names that hold '@' but do not nest: none, followed by '@',
+# begins another, so the walk compares the host names alone.
+UNNESTED_EDGES = ["x@1", "y@2", "x@2", "y@10", "z@1@2", "1@x"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(hosts_named_with_at(UNNESTED_EDGES))
+def test_walk_tree_is_the_bfs_builders_tree_when_names_do_not_nest(drawn):
+    assert not multigraph._nests(UNNESTED_EDGES)
+    _assert_walk_tree_is_the_bfs_builders(drawn)
+    # Two edges labelled 1 in z2 run from the identity fibre into x@1;
+    # y@2, met first, gives way to x@1.
+    host = DirectedMultigraph(["u", "w", "x"], [("y@2", "u", "x", "1"),
+                                               ("x@1", "w", "x", "1")])
+    result = fixed_point_pipeline(
+        host, Labelling.from_graph(host, GroupSpec.parse("z2")))
+    x1 = list(result.skew.vertices).index("x@1")
+    assert result.skew._names[result.tree.parent_edge[x1]] == "x@1@1"
+    _assert_tree_is_the_bfs_builders(result, len(host.vertices))
 
 
 def test_walk_tree_tie_break_reads_the_element_when_names_nest():
@@ -831,24 +868,27 @@ def test_walk_tree_tie_break_reads_the_element_when_names_nest():
 def test_derived_graphs_hold_no_label_column():
     # Skews, corners and --relabel copies keep None for their labels and
     # make no list of them, yet compare equal to their parsed-back copies,
-    # whose label column is a list of None, and read as unlabelled.  (The
-    # positional names of --relabel compare equal to no tuple, so that
-    # copy is compared through its edges.)
+    # whose label column is a list of None, and read as unlabelled.
     host = parse_graph(big_dag_text(n=300))
     c = Labelling.from_graph(host, GroupSpec.parse("z5"))
     result = fixed_point_pipeline(host, c)
     derived = [skew_product(host, c), reachable_skew(host, c), result.skew,
                result.corner.graph,
                corner_graph(host, build_spanning_subtree(host, ["v0"])).graph]
-    derived.append(DirectedMultigraph._from_indices(
-        _Positional("v", len(derived[-1].vertices)),
-        _Positional("e", len(derived[-1]._names)),
-        derived[-1]._src, derived[-1]._dst, derived[-1]._labels))
+
+    def relabel(g):
+        return DirectedMultigraph._from_indices(
+            _Positional("v", len(g.vertices)), _Positional("e", len(g._names)),
+            g._src, g._dst, g._labels)
+
+    derived.append(relabel(derived[-1]))
+    # Two --relabel copies made apart compare equal as well.
+    assert relabel(derived[-2]) == derived[-1]
     for g in derived:
         assert g._labels is None
         back = parse_graph(serialize_graph(g))
         assert back._labels == [None] * len(g._names)
-        assert isinstance(g.vertices, _Positional) or g == back == g
+        assert g == back == g
         assert g.edges == back.edges
         assert {e.label for e in g.edges} == {None}
         assert g.edge(g._names[0]).label is None
