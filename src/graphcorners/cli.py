@@ -135,7 +135,7 @@ def _make_tree(g: DirectedMultigraph, args: argparse.Namespace):
 
 def _cmd_corner(args: argparse.Namespace) -> int:
     g = _load(args.graph)
-    result = corner_graph(g, _make_tree(g, args))
+    result = corner_graph(_make_tree(g, args))
     _emit_graph(result.graph, args)
     return 0
 
@@ -148,16 +148,16 @@ def _cmd_skew(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     c = _labelling(args, g)
     if c.group.is_finite:
-        out = skew_product(g, c)
+        out = skew_product(c)
     else:
-        out = reachable_skew(g, c, args.cap)
+        out = reachable_skew(c, args.cap)
     _emit_graph(out, args)
     return 0
 
 
 def _cmd_fixed_point(args: argparse.Namespace) -> int:
     g = _load(args.graph)
-    result = fixed_point_pipeline(g, _labelling(args, g), args.cap)
+    result = fixed_point_pipeline(_labelling(args, g), args.cap)
     _emit_graph(result.corner.graph, args)
     return 0
 
@@ -195,14 +195,14 @@ def _cmd_check_kirchhoff(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     c = _labelling(args, g)
     if args.loops_only:
-        ok, cycle = cycle_labels_trivial(g, c)
+        ok, cycle = cycle_labels_trivial(c)
         if ok:
             print("PASS")
             return 0
         print("FAIL")
         print(f"cycle: {','.join(cycle)}")
         return 1
-    result = kirchhoff_check(g, c, args.bound)
+    result = kirchhoff_check(c, args.bound)
     print(result.status)
     if result.status == "FAIL":
         print(f"start: {result.start}")

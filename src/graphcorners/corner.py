@@ -42,8 +42,8 @@ class CornerGraph(NamedTuple("CornerGraph", [
         }
 
 
-def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph:
-    """Build the corner graph of ``host`` along the subtree ``tree``.
+def corner_graph(tree: DirectedSubtree) -> CornerGraph:
+    """Build the corner graph of the subtree's host along it.
 
     Kept vertices: spanned vertices except those whose (non-empty) set of
     outgoing host edges lies entirely inside the tree.  For every host
@@ -52,8 +52,7 @@ def corner_graph(host: DirectedMultigraph, tree: DirectedSubtree) -> CornerGraph
     a tree-descendant of r(e).  Should two such names coincide, each later
     one gets the suffix ``.j`` with the least j >= 1 that leaves it unique.
     """
-    if tree.host is not host and tree.host != host:
-        raise ValueError("subtree belongs to a different graph")
+    host = tree.host
     vs, names, src, dst = host.vertices, host._names, host._src, host._dst
     parent_edge, order = tree.parent_edge, tree._order
     # Each vertex's tree parent, -1 at a root, whose entries at the end

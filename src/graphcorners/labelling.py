@@ -217,16 +217,15 @@ def _numbering(c: Labelling, negate: bool) -> tuple:
     return elements, tables, step
 
 
-def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
-    """The full skew product graph for a finite group labelling.
+def skew_product(c: Labelling) -> DirectedMultigraph:
+    """The full skew product of the labelling's host, for a finite group.
 
     Vertices are pairs (v, g); the edge (e, g) runs from (s(e), c(e)+g)
     to (r(e), g).  No walk is needed: with t the number of g in
     lexicographic order, (v, g) is vertex v*|G| + t and (e, g) edge
     e*|G| + t.  The names are as in ``reachable_skew``.
     """
-    _check_labelling(host, c)
-    group = c.group
+    host, group, labels = c
     if not group.is_finite:
         raise ValueError(
             "skew product of an infinite group is infinite; "
@@ -236,32 +235,29 @@ def skew_product(host: DirectedMultigraph, c: Labelling) -> DirectedMultigraph:
     m, add = len(elements), _fast_op(group)
     numbers = dict(zip(elements, range(m)))
     # shift[g][t] is the number of g + elements[t], one list per label g.
-    shift = {g: [numbers[add(g, x)] for x in elements]
-             for g in set(c.by_index)}
+    shift = {g: [numbers[add(g, x)] for x in elements] for g in set(labels)}
     per = range(m)
-    src = [a * m + t for a, g in zip(host._src, c.by_index) for t in shift[g]]
+    src = [a * m + t for a, g in zip(host._src, labels) for t in shift[g]]
     dst = [b * m + t for b in host._dst for t in per]
     # Each host vertex and edge index |G| times, beside t = 0, ..., |G|-1.
     vs, se = ([i for i in range(len(x)) for _ in per]
               for x in (host.vertices, host._names))
     ts = list(per) * len(host.vertices)
     return DirectedMultigraph._from_indices(
-        *_skew_names(host, group, elements, vs, ts, se, dst), src, dst)
+        *_skew_names(c, elements, vs, ts, se, dst), src, dst)
 
 
-def _skew_names(host, group, elements, vs, ts, se, dst) -> tuple:
-    """The name columns of a skew: state i is ``v@g`` for v the host
+def _skew_names(c, elements, vs, ts, se, dst) -> tuple:
+    """The name columns of c's skew: state i is ``v@g`` for v the host
     vertex vs[i] and g the element ts[i] numbers, and edge k is ``e@g``
     for e the host edge se[k] and g the element of its range dst[k]."""
-    encs = list(map(group.name_encode, elements))
+    host, encs = c.host, list(map(c.group.name_encode, elements))
     return (_Names((host.vertices, vs), (encs, ts)),
             _Names((host._names, se), (_Names((encs, ts)), dst)))
 
 
-def reachable_skew(
-    host: DirectedMultigraph, c: Labelling, cap: int = DEFAULT_CAP
-) -> DirectedMultigraph:
-    """The part of the skew product reachable from the identity fibre.
+def reachable_skew(c: Labelling, cap: int = DEFAULT_CAP) -> DirectedMultigraph:
+    """The part of c's skew product reachable from the identity fibre.
 
     BFS over the induced subgraph on the hereditary closure of the vertex
     set {(v, identity)}.  For a group with an infinite factor, raises
@@ -274,15 +270,13 @@ def reachable_skew(
     The walk also records the BFS tree of the skew from the identity
     fibre, which ``fixed_point_pipeline`` takes from ``_skew_walk``.
     """
-    return _skew_walk(host, c, cap)[0]
+    return _skew_walk(c, cap)[0]
 
 
-def _skew_walk(
-    host: DirectedMultigraph, c: Labelling, cap: int
-) -> tuple[DirectedMultigraph, list[int]]:
+def _skew_walk(c: Labelling, cap: int) -> tuple[DirectedMultigraph, list[int]]:
     """The reachable skew, and the tree edge entering each state (-1 in
     the identity fibre) that ``build_spanning_subtree`` picks from it."""
-    _check_labelling(host, c)
+    host = c.host
     n = len(host.vertices)
     if c.group.is_finite:
         cap = n * c.group.order
@@ -335,7 +329,7 @@ def _skew_walk(
             src.append(i)
             dst.append(j)
     g = DirectedMultigraph._from_indices(
-        *_skew_names(host, c.group, elements, vs, ts, se, dst), src, dst)
+        *_skew_names(c, elements, vs, ts, se, dst), src, dst)
     starts.append(len(dst))
     g._out = list(map(range, starts, starts[1:]))
     return g, parent
@@ -355,10 +349,10 @@ class KirchhoffResult(NamedTuple):
     cycle: tuple[str, ...] | None = None
 
 
-def kirchhoff_check(
-    host: DirectedMultigraph, c: Labelling, bound: int = DEFAULT_BOUND
-) -> KirchhoffResult:
-    """Decide whether every infinite path accumulates the identity label.
+def kirchhoff_check(c: Labelling,
+                    bound: int = DEFAULT_BOUND) -> KirchhoffResult:
+    """Decide whether every infinite path of c's host accumulates the
+    identity label.
 
     Runs over states (vertex, accumulated label), starting from every
     (v, identity); a transition appends an edge and multiplies its label
@@ -369,7 +363,7 @@ def kirchhoff_check(
     PASS answer unavailable (UNKNOWN), while a cycle found within the
     bound is a genuine FAIL.  A negative bound is rejected.
     """
-    _check_labelling(host, c)
+    host = c.host
     if bound < 0:
         raise ValueError("bound must be non-negative")
     if is_acyclic(host):
@@ -427,19 +421,16 @@ def kirchhoff_check(
     return KirchhoffResult("PASS")
 
 
-def cycle_labels_trivial(
-    host: DirectedMultigraph, c: Labelling
-) -> tuple[bool, tuple[str, ...] | None]:
-    """Check that every directed cycle has identity label.
+def cycle_labels_trivial(c: Labelling) -> tuple[bool, tuple[str, ...] | None]:
+    """Check that every directed cycle of c's host has identity label.
 
     Exact for any finite host: within each strongly connected component a
     potential per vertex is fitted against the edge labels; an edge the
     potentials cannot explain yields a witness cycle with non-identity
     label.
     """
-    _check_labelling(host, c)
-    add = _fast_op(c.group)
-    labels = c.by_index
+    host, group, labels = c
+    add = _fast_op(group)
     src, dst = host._src, host._dst
     for comp in _strongly_connected_components(host):
         internal = [
@@ -448,16 +439,15 @@ def cycle_labels_trivial(
         if not internal:
             continue
         base = min(comp)
-        pot, fwd = _component_tree(host, comp, base, labels, c.group, True)
+        pot, fwd = _component_tree(c, comp, base, True)
         for k in internal:
             via = add(pot[src[k]], labels[k])
             if via != pot[dst[k]]:
                 # The tree walks base -> s(k) -k-> r(k) -> base and base ->
                 # r(k) -> base differ in label by the mismatch, so one of
                 # them, the witness, has a non-identity label.
-                back, bwd = _component_tree(host, comp, base, labels,
-                                            c.group, False)
-                if add(via, back[dst[k]]) != c.group.identity:
+                back, bwd = _component_tree(c, comp, base, False)
+                if add(via, back[dst[k]]) != group.identity:
                     head = _tree_walk(fwd, src, src[k], base)[::-1] + [k]
                 else:
                     head = _tree_walk(fwd, src, dst[k], base)[::-1]
@@ -466,10 +456,11 @@ def cycle_labels_trivial(
     return True, None
 
 
-def _component_tree(host, comp, base, labels, group, forward):
-    """BFS potentials within one strong component and the tree edge par[v]
-    that reached each vertex, keyed by vertex index: pot[v] is the label of
-    the tree path base -> v, or with forward=False of v -> base."""
+def _component_tree(c, comp, base, forward):
+    """BFS potentials within one strong component of c's host and the tree
+    edge par[v] reaching each vertex, keyed by vertex index: pot[v] is the
+    label of the tree path base -> v, or with forward=False of v -> base."""
+    host, group, labels = c
     add = _fast_op(group)
     adjacent, far = (
         (host._out, host._dst) if forward else (host._in, host._src)
@@ -505,24 +496,18 @@ class FixedPointResult(NamedTuple):
     corner: CornerGraph
 
 
-def fixed_point_pipeline(
-    host: DirectedMultigraph, c: Labelling, cap: int = DEFAULT_CAP
-) -> FixedPointResult:
-    """Reachable skew product, BFS subtree rooted at the identity fibre,
-    and the corner graph along it.
+def fixed_point_pipeline(c: Labelling,
+                         cap: int = DEFAULT_CAP) -> FixedPointResult:
+    """Reachable skew product of c, BFS subtree rooted at the identity
+    fibre, and the corner graph along it.
 
     The resulting corner graph presents the subalgebra of the host graph
     algebra fixed by the coaction the labelling induces.  The tree comes
     from the skew walk, which records it as it goes: the same tree as
     ``build_spanning_subtree``'s, with no second pass over the skew.
     """
-    skew, parent = _skew_walk(host, c, cap)
+    skew, parent = _skew_walk(c, cap)
     # The walk visits every state, parents first, in state order.
     tree = DirectedSubtree(skew, parent, range(len(parent)))
     tree.__dict__["_order"] = tree.spanned_indices
-    return FixedPointResult(skew, tree, corner_graph(skew, tree))
-
-
-def _check_labelling(host: DirectedMultigraph, c: Labelling) -> None:
-    if c.host is not host and c.host != host:
-        raise ValueError("labelling belongs to a different graph")
+    return FixedPointResult(skew, tree, corner_graph(tree))

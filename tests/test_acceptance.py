@@ -49,7 +49,7 @@ def report(n, slug):
 def test_criterion_1_two_cycle_corner_exact():
     g = cyc6()
     tree = validate_subtree(g, ["e1", "f2"], ["v0"])
-    result = corner_graph(g, tree)
+    result = corner_graph(tree)
     assert set(result.graph.vertices) == {"v1", "v2"}
     assert {(e.name, e.src, e.dst) for e in result.graph.edges} == {
         ("e0@v1", "v2", "v1"),
@@ -76,10 +76,10 @@ def test_criterion_2_three_vertex_family_both_trees():
                 g = pqr(p, q, r)
                 t1 = validate_subtree(g, ["e", "g"], ["u"])
                 assert are_isomorphic(
-                    corner_graph(g, t1).graph, g
+                    corner_graph(t1).graph, g
                 ).isomorphic, (p, q, r)
                 t2 = validate_subtree(g, ["e", "f"], ["u"])
-                got = multiplicity_map(corner_graph(g, t2).graph)
+                got = multiplicity_map(corner_graph(t2).graph)
                 assert got == {
                     ("u", "u"): 1,
                     ("v", "v"): 1,
@@ -97,7 +97,7 @@ def test_criterion_3_hereditary_roots_degenerate_case():
         g = random_multigraph(rng, max_v=7, max_e=12)
         x = sorted(hereditary_closure(g, random_vertex_subset(rng, g)))
         tree = validate_subtree(g, [], x)
-        result = corner_graph(g, tree)
+        result = corner_graph(tree)
         xset = set(x)
         assert list(result.graph.vertices) == [
             v for v in g.vertices if v in xset
@@ -113,14 +113,14 @@ def test_criterion_3_hereditary_roots_degenerate_case():
 def test_criterion_4_rose_skew_product():
     g = rose2()
     c = Labelling.from_graph(g, GroupSpec.parse("z3"))
-    assert are_isomorphic(skew_product(g, c), cyc6()).isomorphic
+    assert are_isomorphic(skew_product(c), cyc6()).isomorphic
     report(4, "rose z3 skew product")
 
 
 def test_criterion_5_rose_fixed_point():
     g = rose2()
     c = Labelling.from_graph(g, GroupSpec.parse("z3"))
-    fp = fixed_point_pipeline(g, c, 100).corner.graph
+    fp = fixed_point_pipeline(c, 100).corner.graph
     assert len(fp.vertices) == 2 and len(fp.edges) == 6
     a, b = fp.vertices
     assert multiplicity_map(fp) == {
@@ -128,7 +128,7 @@ def test_criterion_5_rose_fixed_point():
     }
     host = cyc6()
     tree = validate_subtree(host, ["e1", "f2"], ["v0"])
-    assert are_isomorphic(fp, corner_graph(host, tree).graph).isomorphic
+    assert are_isomorphic(fp, corner_graph(tree).graph).isomorphic
     report(5, "rose z3 fixed point graph")
 
 
@@ -144,7 +144,7 @@ def test_criterion_6_family_k_theory():
                 closure = hereditary_closure(e0, ["u"])
                 assert saturate(e0, closure) == set(e0.vertices)
                 t2 = validate_subtree(e0, ["e", "f"], ["u"])
-                assert k_theory(corner_graph(e0, t2).graph) == family[0]
+                assert k_theory(corner_graph(t2).graph) == family[0]
     report(6, "k-theory constant along the family + full corner")
 
 
@@ -155,7 +155,7 @@ def test_criterion_7_acyclic_oracle_suite():
         g = random_dag(rng, max_v=8, max_e=14)
         roots = random_vertex_subset(rng, g)
         tree = random_bfs_tree(g, roots, rng)
-        left = fd_dimension_vector(corner_graph(g, tree).graph)
+        left = fd_dimension_vector(corner_graph(tree).graph)
         right = enumerated_dimension_vector(g, roots)
         assert left == right, (instances, left, right)
         instances += 1
@@ -177,10 +177,10 @@ def test_criterion_8_voltage_law_guarantees_pipeline():
                 for e in g.edges
             },
         )
-        if kirchhoff_check(g, c).status != "PASS":
+        if kirchhoff_check(c).status != "PASS":
             continue
         passes += 1
-        result = fixed_point_pipeline(g, c, len(g.vertices) * group.order)
+        result = fixed_point_pipeline(c, len(g.vertices) * group.order)
         assert set(result.tree.roots) == {f"{v}@0" for v in g.vertices}
     assert passes > 0
     report(8, f"voltage law PASS => pipeline succeeds ({passes}/100 passed)")
@@ -206,11 +206,11 @@ def test_criterion_9_smith_self_check():
 def test_criterion_10_gauge_labelling_examples():
     g = edge1()
     c = Labelling.from_graph(g, GroupSpec.parse("z"))
-    fp = fixed_point_pipeline(g, c, 100).corner.graph
+    fp = fixed_point_pipeline(c, 100).corner.graph
     assert set(fp.vertices) == {"v@0", "v@-1"}
     assert fp.edges == ()
     loop = single_loop("1")
     cl = Labelling.from_graph(loop, GroupSpec.parse("z"))
     with pytest.raises(CapExceededError):
-        fixed_point_pipeline(loop, cl, 100)
+        fixed_point_pipeline(cl, 100)
     report(10, "gauge labelling: two-point core and cap blowup")

@@ -389,6 +389,18 @@ def test_exact_integers_print_whole(files, capsys, command):
     assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
+def test_main_runs_without_a_digit_limit_getter(files, capsys, monkeypatch):
+    # Before CPython 3.10.7 sys has no get_int_max_str_digits: main then
+    # reads no limit and leaves the setter alone.
+    def refuse(limit):
+        raise AssertionError(f"set_int_max_str_digits({limit}) called")
+
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    path = files("cycle.graph", doubled_cycle_text(3))
+    assert run(capsys, ["kth", path]) == (0, "K0 = Z/7\nK1 = 0\n", "")
+
+
 def test_label_coordinates_hold_at_most_4300_digits(files, capsys):
     # Two labels of 4,300 nines add up to 4,301 digits, which print whole;
     # a coordinate of 4,301 digits is refused, by the library as well.
@@ -417,7 +429,7 @@ def test_fixed_point_output_reads_as_its_parsed_back_corner(files, capsys,
     code, out, _ = run(capsys, ["fixed-point", path, "--group", "z5", *flags])
     host = parse_graph(Path(path).read_text(encoding="utf-8"))
     corner = fixed_point_pipeline(
-        host, Labelling.from_graph(host, GroupSpec.parse("z5"))).corner.graph
+        Labelling.from_graph(host, GroupSpec.parse("z5"))).corner.graph
     args = argparse.Namespace(dot="--dot" in flags,
                               relabel="--relabel" in flags)
     _emit_graph(parse_graph(serialize_graph(corner)), args)
@@ -598,11 +610,11 @@ def test_graph_output_is_written_in_blocks(big_dag, monkeypatch, command,
     host = parse_graph(Path(big_dag).read_text(encoding="utf-8"))
     if command == "corner":
         argv = ["corner", big_dag, "--roots", "v0"]
-        g = corner_graph(host, build_spanning_subtree(host, ["v0"])).graph
+        g = corner_graph(build_spanning_subtree(host, ["v0"])).graph
     else:
         argv = ["fixed-point", big_dag, "--group", "z5"]
         c = Labelling.from_graph(host, GroupSpec.parse("z5"))
-        g = fixed_point_pipeline(host, c).corner.graph
+        g = fixed_point_pipeline(c).corner.graph
     if "--relabel" in flags:
         g = relabelled(g, {v: f"v{i}" for i, v in enumerate(g.vertices)},
                        {e.name: f"e{k}" for k, e in enumerate(g.edges)})
@@ -636,7 +648,7 @@ def test_graph_output_peak_memory_is_under_half_its_length(big_dag,
     # the joined text, each of which is as long as the output or longer.
     # The corner's names are formatted as their lines are.
     host = parse_graph(Path(big_dag).read_text(encoding="utf-8"))
-    g = corner_graph(host, build_spanning_subtree(host, ["v0"])).graph
+    g = corner_graph(build_spanning_subtree(host, ["v0"])).graph
     length = len(serialize_graph(g))
     assert _emit_peak(g, monkeypatch) < length / 2
 
@@ -646,7 +658,7 @@ def test_relabel_output_peak_memory_is_under_half_its_length(big_dag,
     # --relabel's positional names are formatted as their lines are, not
     # gathered into a mapping first.
     host = parse_graph(Path(big_dag).read_text(encoding="utf-8"))
-    g = corner_graph(host, build_spanning_subtree(host, ["v0"])).graph
+    g = corner_graph(build_spanning_subtree(host, ["v0"])).graph
     length = len(serialize_graph(g))
     assert _emit_peak(g, monkeypatch, relabel=True) < length / 2
 
@@ -656,7 +668,7 @@ def test_dot_output_peak_memory_is_one_sort_key_per_edge(big_dag,
     # DOT lists the corner's edges sorted by name: the sort holds one
     # integer key per edge, in place, and no list of names.
     host = parse_graph(Path(big_dag).read_text(encoding="utf-8"))
-    g = corner_graph(host, build_spanning_subtree(host, ["v0"])).graph
+    g = corner_graph(build_spanning_subtree(host, ["v0"])).graph
     assert _emit_peak(g, monkeypatch, dot=True) < 56 * len(g.edges)
 
 

@@ -38,7 +38,7 @@ from sample_graphs import (
 
 def test_two_cycle_corner_exact():
     t = validate_subtree(cyc6(), ["e1", "f2"], ["v0"])
-    result = corner_graph(cyc6(), t)
+    result = corner_graph(t)
     assert result.graph.vertices == ("v1", "v2")
     got = {(e.name, e.src, e.dst) for e in result.graph.edges}
     assert got == {
@@ -54,7 +54,7 @@ def test_two_cycle_corner_exact():
 
 def test_single_edge_collapses_to_range():
     t = validate_subtree(edge1(), ["e"], ["u"])
-    result = corner_graph(edge1(), t)
+    result = corner_graph(t)
     assert result.graph.vertices == ("v",)
     assert result.graph.edges == ()
 
@@ -63,14 +63,14 @@ def test_pqr_tree1_reproduces_host():
     for p, q, r in [(1, 1, 1), (2, 3, 1), (3, 2, 2)]:
         g = pqr(p, q, r)
         t = validate_subtree(g, ["e", "g"], ["u"])
-        assert are_isomorphic(corner_graph(g, t).graph, g).isomorphic
+        assert are_isomorphic(corner_graph(t).graph, g).isomorphic
 
 
 def test_pqr_tree2_multiplicities():
     p, q, r = 2, 3, 1
     g = pqr(p, q, r)
     t = validate_subtree(g, ["e", "f"], ["u"])
-    result = corner_graph(g, t)
+    result = corner_graph(t)
     assert set(result.graph.vertices) == {"u", "v", "w"}
     assert multiplicity_map(result.graph) == {
         ("u", "u"): 1,
@@ -85,7 +85,7 @@ def test_pqr_tree2_multiplicities():
 def test_hereditary_roots_give_restriction():
     g = cyc6()
     t = validate_subtree(g, [], ["v0", "v1", "v2"])
-    result = corner_graph(g, t)
+    result = corner_graph(t)
     assert result.graph.vertices == g.vertices
     assert [(e.name, e.src, e.dst) for e in result.graph.edges] == [
         (f"{e.name}@{e.dst}", e.src, e.dst) for e in g.edges
@@ -106,7 +106,7 @@ def _random_instance(seed, acyclic=False):
 def test_edge_count_formula():
     for seed in range(40):
         g, roots, t = _random_instance(seed)
-        result = corner_graph(g, t)
+        result = corner_graph(t)
         from graphcorners.subtree import descendants
 
         kept = set(result.graph.vertices)
@@ -123,7 +123,7 @@ def test_every_non_tree_edge_contributes():
     # trace: at least one corner edge with the same source.
     for seed in range(40):
         g, roots, t = _random_instance(seed)
-        result = corner_graph(g, t)
+        result = corner_graph(t)
         sources_seen = {}
         for name, (host_edge, _) in result.provenance.items():
             sources_seen.setdefault(host_edge, 0)
@@ -136,7 +136,7 @@ def test_every_non_tree_edge_contributes():
 def test_sink_preservation():
     for seed in range(40):
         g, roots, t = _random_instance(seed)
-        result = corner_graph(g, t)
+        result = corner_graph(t)
         for v in result.graph.vertices:
             if not g.out_edges(v):
                 assert not result.graph.out_edges(v)
@@ -145,14 +145,14 @@ def test_sink_preservation():
 def test_acyclicity_preserved():
     for seed in range(40):
         g, roots, t = _random_instance(seed, acyclic=True)
-        assert is_acyclic(corner_graph(g, t).graph)
+        assert is_acyclic(corner_graph(t).graph)
 
 
 def test_deterministic_output():
     for seed in range(10):
         g, roots, t = _random_instance(seed)
-        a = corner_graph(g, t)
-        b = corner_graph(g, t)
+        a = corner_graph(t)
+        b = corner_graph(t)
         assert a.graph == b.graph and a.provenance == b.provenance
 
 
@@ -161,7 +161,7 @@ def test_kept_vertices_rule():
     # them are tree edges.
     for seed in range(40):
         g, roots, t = _random_instance(seed)
-        kept = set(corner_graph(g, t).graph.vertices)
+        kept = set(corner_graph(t).graph.vertices)
         for v in t.tree_vertices:
             out = g.out_edges(v)
             dropped = bool(out) and all(
@@ -178,7 +178,7 @@ def test_corner_after_bfs_tree_round_trips_through_closure():
     t = build_spanning_subtree(g, ["x"])
     assert t.tree_edges == {"t1", "h"}
     assert hereditary_closure(g, ["x"]) == {"x", "a", "w"}
-    result = corner_graph(g, t)
+    result = corner_graph(t)
     assert set(result.graph.vertices) == {"a", "w"}
 
 
@@ -192,7 +192,7 @@ def test_clashing_names_take_the_least_free_suffix():
          ("0d", "m", "c.1"), ("a", "r", "b@c"), ("a@b", "r", "m")],
     )
     t = validate_subtree(g, ["0t", "0m", "0c", "0d"], ["r"])
-    result = corner_graph(g, t)
+    result = corner_graph(t)
     assert [(e.name, e.dst) for e in result.graph.edges] == [
         ("a@b@c", "b@c"), ("a@b@c.2", "c"), ("a@b@c.1", "c.1"),
     ]
@@ -203,8 +203,10 @@ def test_clashing_names_take_the_least_free_suffix():
 
 
 def test_subtree_of_another_graph_is_rejected():
-    # Three vertices each: without the check, the cycle's tree read on
-    # the host's indices would give a wrong corner without complaint.
+    # corner_graph takes no host beside the tree, so no tree can be read
+    # on another graph's indices: each tree gives its own host's corner.
+    # Three vertices each, so a tree read on the wrong host would not
+    # fail on an index.
     host = DirectedMultigraph(
         ["x", "y", "z"],
         [("s", "z", "x"), ("p", "x", "y"), ("q", "y", "z"), ("r", "x", "z")],
@@ -212,23 +214,21 @@ def test_subtree_of_another_graph_is_rejected():
     cycle = DirectedMultigraph(
         ["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a")]
     )
-    for tree in (build_spanning_subtree(cycle, ["a"]),
-                 build_spanning_subtree(edge1(), ["u"])):
-        with pytest.raises(ValueError,
-                           match="subtree belongs to a different graph"):
-            corner_graph(host, tree)
-    own = build_spanning_subtree(host, ["x"])
-    assert [e.name for e in corner_graph(host, own).graph.edges] == [
-        "s@y", "s@z", "q@z",
-    ]
+    own = corner_graph(build_spanning_subtree(host, ["x"]))
+    assert own.host is host
+    assert [e.name for e in own.graph.edges] == ["s@y", "s@z", "q@z"]
+    result = corner_graph(build_spanning_subtree(cycle, ["a"]))
+    assert result.host is cycle
+    assert result.graph == DirectedMultigraph(["c"], [("ca@c", "c", "c")])
+    assert result.provenance == {"ca@c": ("ca", "c")}
 
 
 def test_subtree_of_an_equal_graph_is_accepted():
     text = serialize_graph(cyc6())
     first, second = parse_graph(text), parse_graph(text)
     assert first is not second and first == second
-    tree = validate_subtree(first, ["e1", "f2"], ["v0"])
-    assert corner_graph(second, tree).graph == corner_graph(first, tree).graph
+    a, b = (validate_subtree(g, ["e1", "f2"], ["v0"]) for g in (first, second))
+    assert corner_graph(a).graph == corner_graph(b).graph
 
 
 CHAIN_PROBE = """
@@ -241,7 +241,7 @@ edges = [(f"t{i}", a, b) for i, (a, b) in enumerate(zip(vs, vs[1:]))]
 edges += [(f"b{i}", "x", f"v{i}") for i in range(n)]
 g = DirectedMultigraph(vs, edges)
 start = time.perf_counter()
-result = corner_graph(g, build_spanning_subtree(g, ["r"]))
+result = corner_graph(build_spanning_subtree(g, ["r"]))
 elapsed = time.perf_counter() - start
 print(len(result.graph.vertices), len(result.graph.edges), elapsed)
 """
@@ -340,6 +340,6 @@ def rooted_subtrees(draw):
 def test_corner_matches_the_definition_edge_for_edge(gt):
     g, t = gt
     kept, edges = corner_oracle(g, t)
-    result = corner_graph(g, t).graph
+    result = corner_graph(t).graph
     assert list(result.vertices) == kept
     assert [(e.name, e.src, e.dst) for e in result.edges] == edges

@@ -595,7 +595,7 @@ class TestFullCornerKTheory:
                 continue
             checked += 1
             tree = random_bfs_tree(g, roots, rng)
-            assert k_theory(corner_graph(g, tree).graph) == k_theory(g)
+            assert k_theory(corner_graph(tree).graph) == k_theory(g)
         print(
             f"\nfull-corner k-theory: {checked} checked, "
             f"{skipped} skipped (guard) of {checked + skipped}"
@@ -623,7 +623,7 @@ class TestFullCornerKTheory:
             if saturate(g, hereditary_closure(g, roots)) != set(g.vertices):
                 continue
             checked += 1
-            corner = corner_graph(g, build_spanning_subtree(g, roots)).graph
+            corner = corner_graph(build_spanning_subtree(g, roots)).graph
             assert k_theory(g).k0_invariant_factors
             assert k_theory(corner) == k_theory(g)
         assert checked >= 3
@@ -682,7 +682,7 @@ def test_corner_shares_k_theory_with_the_restriction_to_the_closure(gtr):
     restriction = DirectedMultigraph(
         [v for v in g.vertices if v in closure],
         [(e.name, e.src, e.dst) for e in g.edges if e.src in closure])
-    assert k_theory(corner_graph(g, tree).graph) == k_theory(restriction)
+    assert k_theory(corner_graph(tree).graph) == k_theory(restriction)
 
 
 @st.composite
@@ -704,5 +704,5 @@ def test_fixed_point_corner_shares_k_theory_with_the_reachable_skew(g):
     through k_theory, whose Smith normal form TestInvariantFactors
     checks against sympy."""
     c = Labelling.from_graph(g, GroupSpec.parse("z3"))
-    result = fixed_point_pipeline(g, c)
+    result = fixed_point_pipeline(c)
     assert k_theory(result.corner.graph) == k_theory(result.skew)

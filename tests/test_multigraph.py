@@ -428,7 +428,7 @@ class TestStructure:
 
     def test_derived_names_slice_and_print_as_tuples(self):
         g = pqr(2, 1, 1)
-        skew = skew_product(g, Labelling.from_graph(g, GroupSpec.parse("z3")))
+        skew = skew_product(Labelling.from_graph(g, GroupSpec.parse("z3")))
         names = tuple(skew.vertices)
         for part in (slice(2, 5), slice(None, None, 2), slice(-3, None),
                      slice(4, 1, -1), slice(7, 7)):
@@ -438,6 +438,8 @@ class TestStructure:
         assert skew.vertices[1:][2:4] == names[1:][2:4]
         assert repr(skew.vertices) == repr(names)
         assert repr(skew._names) == repr(tuple(e.name for e in skew.edges))
+        assert skew.vertices.__eq__(5) is NotImplemented
+        assert skew.vertices != 5 and not skew.vertices == 5
 
 
 class TestAcyclic:
@@ -672,10 +674,10 @@ class TestNameIndexes:
         host = parse_graph("vertex a\nvertex b\nedge e a b 1\nedge f b a 2\n"
                            "edge g a a 1\nedge h b b\n")
         c = Labelling.from_graph(host, GroupSpec.parse("z3"))
-        result = fixed_point_pipeline(host, c)
+        result = fixed_point_pipeline(c)
         tree = build_spanning_subtree(host, ["a"])
-        graphs = [corner_graph(host, tree).graph, reachable_skew(host, c),
-                  skew_product(host, c), result.corner.graph]
+        graphs = [corner_graph(tree).graph, reachable_skew(c),
+                  skew_product(c), result.corner.graph]
         for g in graphs + [result.skew]:
             assert not _slot_is_set(g, "_index")
             assert not _slot_is_set(g, "_edge_index")
@@ -745,14 +747,14 @@ def _labellings(host, coords):
 def test_derived_names_stay_unique_on_hosts_named_with_at(drawn):
     host, coords, roots = drawn
     z3, z2z3, z = _labellings(host, coords)
-    derived = [skew_product(host, z3), skew_product(host, z2z3),
-               corner_graph(host, build_spanning_subtree(host, roots)).graph]
+    derived = [skew_product(z3), skew_product(z2z3),
+               corner_graph(build_spanning_subtree(host, roots)).graph]
     for c in (z3, z2z3, z):
         try:
-            result = fixed_point_pipeline(host, c, cap=64)
+            result = fixed_point_pipeline(c, cap=64)
         except CapExceededError:
             continue
-        derived += [reachable_skew(host, c, cap=64), result.skew,
+        derived += [reachable_skew(c, cap=64), result.skew,
                     result.corner.graph]
     for g in derived:
         names = [e.name for e in g.edges]
@@ -772,12 +774,12 @@ def test_derived_names_sort_as_their_strings(drawn):
     host, coords, _ = drawn
     for c in _labellings(host, coords):
         try:
-            result = fixed_point_pipeline(host, c, cap=64)
+            result = fixed_point_pipeline(c, cap=64)
         except CapExceededError:
             continue
         skew = parse_graph(serialize_graph(result.skew))
         tree = build_spanning_subtree(skew, skew.vertices[:len(host.vertices)])
-        plain = corner_graph(skew, tree).graph
+        plain = corner_graph(tree).graph
         for write in (serialize_graph, to_dot):
             assert write(result.corner.graph) == write(plain)
         assert to_dot(result.skew) == to_dot(skew)
@@ -790,7 +792,7 @@ def test_dot_sorts_derived_names_as_strings(vertices):
     # order the names, and the keys fall back to the formatted names.
     host = DirectedMultigraph(vertices, [("e", vertices[0], vertices[1], "1"),
                                          ("e1", vertices[1], vertices[0])])
-    skew = skew_product(host, Labelling.from_graph(host, GroupSpec.parse("z2")))
+    skew = skew_product(Labelling.from_graph(host, GroupSpec.parse("z2")))
     lines = to_dot(skew).splitlines()
     shown = [line.split('"')[1] for line in lines if line.endswith('";')]
     assert shown == sorted(skew.vertices) != list(skew.vertices)
@@ -814,7 +816,7 @@ def _assert_walk_tree_is_the_bfs_builders(drawn):
             k: (b, a) if len(group.moduli) == 2 else a
             for k, (a, b) in coords.items()})
         try:
-            result = fixed_point_pipeline(host, c, cap=64)
+            result = fixed_point_pipeline(c, cap=64)
         except CapExceededError:
             continue
         _assert_tree_is_the_bfs_builders(result, len(host.vertices))
@@ -845,7 +847,7 @@ def test_walk_tree_is_the_bfs_builders_tree_when_names_do_not_nest(drawn):
     host = DirectedMultigraph(["u", "w", "x"], [("y@2", "u", "x", "1"),
                                                ("x@1", "w", "x", "1")])
     result = fixed_point_pipeline(
-        host, Labelling.from_graph(host, GroupSpec.parse("z2")))
+        Labelling.from_graph(host, GroupSpec.parse("z2")))
     x1 = list(result.skew.vertices).index("x@1")
     assert result.skew._names[result.tree.parent_edge[x1]] == "x@1@1"
     _assert_tree_is_the_bfs_builders(result, len(host.vertices))
@@ -858,7 +860,7 @@ def test_walk_tree_tie_break_reads_the_element_when_names_nest():
     host = DirectedMultigraph(["u", "w", "x"], [("a", "u", "x", "1"),
                                                ("a@0", "w", "x", "1")])
     result = fixed_point_pipeline(
-        host, Labelling.from_graph(host, GroupSpec.parse("z2")))
+        Labelling.from_graph(host, GroupSpec.parse("z2")))
     skew, tree = result.skew, result.tree
     x1 = list(skew.vertices).index("x@1")
     assert skew._names[tree.parent_edge[x1]] == "a@0@1"
@@ -871,10 +873,10 @@ def test_derived_graphs_hold_no_label_column():
     # whose label column is a list of None, and read as unlabelled.
     host = parse_graph(big_dag_text(n=300))
     c = Labelling.from_graph(host, GroupSpec.parse("z5"))
-    result = fixed_point_pipeline(host, c)
-    derived = [skew_product(host, c), reachable_skew(host, c), result.skew,
+    result = fixed_point_pipeline(c)
+    derived = [skew_product(c), reachable_skew(c), result.skew,
                result.corner.graph,
-               corner_graph(host, build_spanning_subtree(host, ["v0"])).graph]
+               corner_graph(build_spanning_subtree(host, ["v0"])).graph]
 
     def relabel(g):
         return DirectedMultigraph._from_indices(
@@ -926,11 +928,11 @@ def test_graph_blocks_match_a_line_by_line_writer(drawn, block):
         (*e, None if k % 3 else str(coords[e[0]][0]))
         for k, e in enumerate(edges)]),
         DirectedMultigraph(host.vertices, [(*e, "1") for e in edges]),
-        skew_product(host, z3),
-        corner_graph(host, build_spanning_subtree(host, roots)).graph]
+        skew_product(z3),
+        corner_graph(build_spanning_subtree(host, roots)).graph]
     for c in (z3, z):
         try:
-            result = fixed_point_pipeline(host, c, cap=64)
+            result = fixed_point_pipeline(c, cap=64)
         except CapExceededError:
             continue
         graphs += [result.skew, result.corner.graph]
@@ -950,7 +952,7 @@ def test_graph_blocks_of_a_renamed_corner():
         [("0t", "r", "b@c"), ("0m", "r", "m"), ("0c", "m", "c"),
          ("0d", "m", "c.1"), ("a", "r", "b@c"), ("a@b", "r", "m")],
     )
-    corner = corner_graph(g, build_spanning_subtree(g, ["r"])).graph
+    corner = corner_graph(build_spanning_subtree(g, ["r"])).graph
     assert isinstance(corner._names, list)
     assert serialize_graph(corner) == line_by_line(corner)
 

@@ -49,11 +49,11 @@ def every_record():
         (IsoResult(True, {"v": "v"}), ("isomorphic", "witness")),
         (KirchhoffResult("FAIL", "v", (), ("e",)),
          ("status", "start", "prefix", "cycle")),
-        (fixed_point_pipeline(rose2(), Labelling.from_graph(rose2(), z3)),
+        (fixed_point_pipeline(Labelling.from_graph(rose2(), z3)),
          ("skew", "tree", "corner")),
         (Labelling.from_graph(rose2(), z3), ("host", "group", "by_index")),
         (tree, ("host", "parent_edge", "spanned_indices")),
-        (corner_graph(g, tree), ("graph", "host", "origin")),
+        (corner_graph(tree), ("graph", "host", "origin")),
     ]
 
 
@@ -181,7 +181,7 @@ def test_views_are_computed_once():
     assert tree.parent == {"v1": "e1", "v2": "f2"}
     assert tree == build_spanning_subtree(g, ["v0"])
     assert tree != build_spanning_subtree(g, ["v1"])
-    corner = corner_graph(g, tree)
+    corner = corner_graph(tree)
     assert corner.provenance is corner.provenance
-    assert corner == corner_graph(g, tree)
+    assert corner == corner_graph(tree)
     assert set(corner.provenance) == set(corner.graph._names)

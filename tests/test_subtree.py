@@ -299,7 +299,7 @@ class TestBuild:
                 g, GroupSpec.parse("z5"),
                 {e.name: rng.randrange(5) for e in g.edges},
             )
-            hosts.append(fixed_point_pipeline(g, c).skew)
+            hosts.append(fixed_point_pipeline(c).skew)
         assert min(len(g.vertices) for g in hosts) >= 300
         for g in hosts:
             for _ in range(3):
@@ -336,7 +336,7 @@ class TestBuild:
             g = DirectedMultigraph(vs, edges.values())
             if skew:
                 g = reachable_skew(
-                    g, Labelling.from_graph(g, GroupSpec.parse("z3")))
+                    Labelling.from_graph(g, GroupSpec.parse("z3")))
             hosts.append(g)
         assert min(len(g.vertices) for g in hosts) >= 200
         for g in hosts:
