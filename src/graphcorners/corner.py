@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .multigraph import _BLOCK, DirectedMultigraph, _Names
+from .multigraph import DirectedMultigraph, _Names
 from .subtree import (
     DirectedSubtree,
     descendants,  # noqa: F401  (bench/tracing.py wraps it here)
@@ -72,54 +72,52 @@ def corner_graph(tree: DirectedSubtree) -> CornerGraph:
         if not (out and fan[v] == len(out)):
             kept[v] = len(kept_indices)
             kept_indices.append(v)
+    # The non-tree edges with a kept source (a spanned source always
+    # is), each marking its range r as up[r] = r; then, parents first,
+    # up[v] is the nearest range at or above v, -1 where there is none.
+    ks: list[int] = []
+    up = [-1] * (len(vs) + 1)
+    for k, (s, d) in enumerate(zip(src, dst)):
+        if kept[s] >= 0 and parent_edge[d] != k:
+            ks.append(k)
+            up[d] = d
+    for v in order:
+        if up[v] < 0:
+            up[v] = up[parent[v]]
     # Below any vertex, the kept vertices come by (depth, name), as in
-    # descendants(): one order of them all.  Ranked in it, each edge's
-    # targets sort without a key.
+    # descendants(): taken once in that order, each kept vertex joins
+    # the targets of every range on its tree path, so each range's
+    # targets come out in order, as corner indices.  A range holds its
+    # first target bare and makes a list only at its second, so that
+    # one-target ranges give the collector no list to track.
     ranked = sorted(kept_indices, key=tree._vertex_key.__getitem__)
     ranked.sort(key=depth.__getitem__)
-    rank = [0] * len(vs)
-    for r, v in enumerate(ranked):
-        rank[v] = r
-    # Children first: the number of kept vertices below each vertex.
-    size = [k >= 0 for k in kept] + [0]
-    for v in reversed(order):
-        size[parent[v]] += size[v]
-    # Parents first: each subtree takes the next free slots of its
-    # parent's range, and a kept vertex the first slot of its own, so
-    # pre[first[v]:first[v] + size[v]] ranks the kept vertices below v.
-    pre = [0] * len(kept_indices)
-    first, free = [0] * len(vs), [0] * (len(vs) + 1)
-    for v in order:
-        p = parent[v]
-        first[v] = at = free[p]
-        free[p] += size[v]
-        if kept[v] >= 0:
-            pre[at] = rank[v]
-            at += 1
-        free[v] = at
+    targets: list = [None] * len(vs)
+    for v in ranked:
+        i, d = kept[v], up[v]
+        while d >= 0:
+            t = targets[d]
+            if t is None:
+                targets[d] = i
+            elif t.__class__ is int:
+                targets[d] = [t, i]
+            else:
+                t.append(i)
+            d = up[parent[d]]
 
     origin: list[int] = []
     edge_src: list[int] = []
     edge_dst: list[int] = []
-    for k, (s, d) in enumerate(zip(src, dst)):
-        # A spanned source of a non-tree edge is always kept.
-        if kept[s] < 0 or parent_edge[d] == k:
-            continue
-        at, n = first[d], size[d]
-        if n == 1:
+    for k in ks:
+        ids = targets[dst[k]]
+        if ids.__class__ is int:
             origin.append(k)
-            edge_src.append(kept[s])
-            edge_dst.append(pre[at])
-            continue
-        ids = pre[at:at + n]
-        ids.sort()
-        origin += [k] * n
-        edge_src += [kept[s]] * n
-        edge_dst += ids
-    # Ranks back to corner indices, a block at a time, in place.
-    by_rank = [kept[v] for v in ranked]
-    for b in range(0, len(edge_dst), _BLOCK):
-        edge_dst[b:b + _BLOCK] = [by_rank[r] for r in edge_dst[b:b + _BLOCK]]
+            edge_src.append(kept[src[k]])
+            edge_dst.append(ids)
+        else:
+            origin += [k] * len(ids)
+            edge_src += [kept[src[k]]] * len(ids)
+            edge_dst += ids
     kept_names = _Names((vs, kept_indices))
     edge_names = _Names((names, origin), (kept_names, edge_dst))
     # Distinct pairs (e, u) give distinct names e@u when all kept names

@@ -168,8 +168,10 @@ def descendants(tree: DirectedSubtree, v: str) -> tuple[str, ...]:
     """Vertices reachable from v along tree edges, v included.
 
     Ordered by tree distance from v, then by vertex name: the order of
-    the whole tree by (depth, name), kept to v's subtree, which is how
-    the corner construction ranks its targets.
+    the whole tree by (depth, name), kept to v's subtree.  The corner
+    construction takes its kept vertices once in that order and gives
+    each to every range above it, so each range's targets come in this
+    order with no sort.
     """
     if v not in tree.tree_vertices:
         raise GraphFormatError(f"vertex {v!r} not in the subtree")

@@ -247,24 +247,66 @@ print(len(result.graph.vertices), len(result.graph.edges), elapsed)
 """
 
 
+COMB_PROBE = """
+import sys, time
+from graphcorners import DirectedMultigraph, build_spanning_subtree, corner_graph
+
+n = int(sys.argv[1])
+chain = [f"v{i}" for i in range(n)]
+vs = ["r", *chain, *(f"s{i}" for i in range(n)), "y"]
+edges = [("a", "r", "v0"), ("b", "r", "v0")]
+edges += [(f"t{i}", a, b) for i, (a, b) in enumerate(zip(chain, chain[1:]))]
+edges += [(f"l{i}", v, f"s{i}") for i, v in enumerate(chain)]
+edges += [(f"y{i}", "y", v) for i, v in enumerate(chain)]
+start = time.perf_counter()
+tree = build_spanning_subtree(DirectedMultigraph(vs, edges), ["r"])
+built = time.perf_counter()
+result = corner_graph(tree)
+elapsed = time.perf_counter() - built
+print(len(result.graph.vertices), len(result.graph.edges), elapsed,
+      built - start)
+"""
+
+
+def _probe(code, n):
+    """Run a probe on n in a fresh interpreter, stopped after 20 s, and
+    return the numbers it prints."""
+    src = str(Path(graphcorners.__file__).resolve().parent.parent)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(n)],
+            env=os.environ | {"PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=20,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"the probe's corner at n={n} took over 20 s")
+    return [float(field) for field in done.stdout.split()]
+
+
 def test_corner_of_a_long_chain_is_linear():
     # r -> v0 -> ... -> v(n-1) -> x with back edges x -> v_i: the corner
     # keeps x alone, with n loops, each range having a whole chain below
     # it.  A walk per range takes about 25 s at this size; the subprocess
     # is stopped well before that.
     n = 8_000
-    src = str(Path(graphcorners.__file__).resolve().parent.parent)
-    try:
-        done = subprocess.run(
-            [sys.executable, "-c", CHAIN_PROBE, str(n)],
-            env=os.environ | {"PYTHONPATH": src},
-            capture_output=True, text=True, check=True, timeout=20,
-        )
-    except subprocess.TimeoutExpired:
-        pytest.fail(f"the corner of a {n}-vertex chain took over 20 s")
-    vertices, edges, elapsed = done.stdout.split()
-    assert (int(vertices), int(edges)) == (1, n)
-    assert float(elapsed) < 1.0
+    vertices, edges, elapsed = _probe(CHAIN_PROBE, n)
+    assert (vertices, edges) == (1, n)
+    assert elapsed < 1.0
+
+
+def test_corner_of_a_comb_is_linear():
+    # r has two edges to v0, one outside the tree, above the chain
+    # v0 -> ... -> v(n-1), each v_i with a sink leaf s_i and an edge from
+    # y, which lies outside the closure of r.  The corner keeps r and the
+    # n leaves, with one edge from r to each leaf.  Marking the ranges of
+    # y's edges, or walking every ancestor of each leaf rather than its
+    # ranges alone, does about n*n/2 steps here, many times the work of
+    # building the graph and its tree, which is linear.
+    n = 8_000
+    vertices, edges, elapsed, built = _probe(COMB_PROBE, n)
+    assert (vertices, edges) == (n + 1, n)
+    assert elapsed < 1.0
+    assert elapsed < 2 * built
 
 
 def corner_oracle(g, t):
@@ -338,7 +380,24 @@ def rooted_subtrees(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(rooted_subtrees())
 def test_corner_matches_the_definition_edge_for_edge(gt):
-    g, t = gt
+    _assert_matches_the_definition(*gt)
+
+
+def test_corner_of_a_deep_tree_matches_the_definition():
+    # A chain through 2,000 vertices with names holding '@', plus 600
+    # random edges, grown depth-first: a tree some 800 deep, with long
+    # runs of vertices between ranges, ranges nested in ranges, and
+    # corner edge names that clash and take a suffix.
+    rng = random.Random(29)
+    n, extra = 2_000, 600
+    vs, es = odd_names(rng.random(), n), odd_names(rng.random(), n - 1 + extra)
+    ends = [*zip(vs, vs[1:]),
+            *((rng.choice(vs), rng.choice(vs)) for _ in range(extra))]
+    g = DirectedMultigraph(vs, [(e, a, b) for e, (a, b) in zip(es, ends)])
+    _assert_matches_the_definition(g, grown_tree(g, vs[:1], lambda f: -1))
+
+
+def _assert_matches_the_definition(g, t):
     kept, edges = corner_oracle(g, t)
     result = corner_graph(t).graph
     assert list(result.vertices) == kept
