@@ -264,9 +264,9 @@ def reachable_skew(c: Labelling, cap: int = DEFAULT_CAP) -> DirectedMultigraph:
     CapExceededError once the closure needs more than ``cap`` vertices,
     which is how an infinite closure surfaces, and rejects a cap below
     |V|.  A finite group bounds the closure by |V|·|G| vertices and the
-    cap does not apply.  States and elements are numbered as first met;
-    each state's out-edges are one run, handed over in ``_out``; the
-    names ``v@g`` and ``e@g`` are columns over host names and encodings.
+    cap does not apply.  States, edges and elements are numbered as
+    first met; the names ``v@g`` and ``e@g`` are columns over host names
+    and encodings.
     The walk also records the BFS tree of the skew from the identity
     fibre, which ``fixed_point_pipeline`` takes from ``_skew_walk``.
     """
@@ -286,12 +286,14 @@ def _skew_walk(c: Labelling, cap: int) -> tuple[DirectedMultigraph, list[int]]:
     # state (v, t) have s = t - c(e).
     elements, tables, step = _numbering(c, negate=True)
     out, ends = host._out, host._dst
-    # State i is (vs[i], ts[i]), found under its packed key t*n + v.
+    # State i is (vs[i], ts[i]), found under its packed key t*n + v; ids
+    # lists the state numbers, the same int objects state_of holds.
     vs, ts = list(range(n)), [0] * n
     state_of = dict(zip(vs, vs))
+    ids = vs[:]
     # The skew edge (e, s) from state i to state j, as three columns: its
-    # element s is its range's.  The edges of state i start at starts[i].
-    se, src, dst, starts = [], [], [], []
+    # element s is its range's.
+    se, src, dst = [], [], []
     # States are numbered in BFS order.  The first edge to reach a state
     # is its parent; a later one from the level above, while the state is
     # in the next level (from lo on), takes over when its name is smaller.
@@ -299,11 +301,9 @@ def _skew_walk(c: Labelling, cap: int) -> tuple[DirectedMultigraph, list[int]]:
     # names nest: then whole names are compared.
     names, encode = host._names, c.group.name_encode
     nested, parent, lo = _nests(names), [-1] * n, n
-    for i, v in enumerate(vs):
+    for i, v, t in zip(ids, vs, ts):
         if i == lo:
             lo = len(vs)
-        t = ts[i]
-        starts.append(len(dst))
         for k in out[v]:
             s = tables[k].get(t)
             if s is None:
@@ -316,6 +316,7 @@ def _skew_walk(c: Labelling, cap: int) -> tuple[DirectedMultigraph, list[int]]:
                         f"{cap} vertices"
                     )
                 j = state_of[nxt] = len(vs)
+                ids.append(j)
                 vs.append(ends[k])
                 ts.append(s)
                 parent.append(len(dst))
@@ -328,11 +329,8 @@ def _skew_walk(c: Labelling, cap: int) -> tuple[DirectedMultigraph, list[int]]:
             se.append(k)
             src.append(i)
             dst.append(j)
-    g = DirectedMultigraph._from_indices(
-        *_skew_names(c, elements, vs, ts, se, dst), src, dst)
-    starts.append(len(dst))
-    g._out = list(map(range, starts, starts[1:]))
-    return g, parent
+    return DirectedMultigraph._from_indices(
+        *_skew_names(c, elements, vs, ts, se, dst), src, dst), parent
 
 
 class KirchhoffResult(NamedTuple):

@@ -70,7 +70,8 @@ class DirectedSubtree(NamedTuple("DirectedSubtree", [
 
     @cached_property
     def _vertex_key(self) -> Sequence:
-        """Keys in the str order of the host's vertex names."""
+        """Keys in the str order of the host's vertex names, for
+        ``descendants``: the corner makes its own for the call."""
         return _order_key(self.host.vertices)
 
     @cached_property

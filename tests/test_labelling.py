@@ -405,8 +405,9 @@ class TestReachableSkew:
                 assert e.dst in kept  # closure is hereditary
 
     def test_out_ranges_are_the_adjacency_of_the_edges(self):
-        # reachable_skew hands each state's run of out-edges over as a
-        # range; it must list exactly the edges whose source is the state.
+        # The walk leaves the skew's adjacency unbuilt: nothing on the
+        # fixed-point path reads it.  Built on first use, it must list
+        # exactly the edges whose source is the state.
         for seed in range(30):
             rng = random.Random(seed)
             g = random_multigraph(rng, max_v=6, max_e=12)
@@ -421,7 +422,8 @@ class TestReachableSkew:
             out = [[] for _ in reach.vertices]
             for k, v in enumerate(reach._src):
                 out[v].append(k)
-            assert all(isinstance(r, range) for r in reach._out)
+            with pytest.raises(AttributeError):
+                object.__getattribute__(reach, "_out")
             assert [list(r) for r in reach._out] == out
 
     def test_rose2_closure_is_everything(self):
@@ -788,3 +790,25 @@ class TestFixedPoint:
             tracemalloc.stop()
         assert len(result.corner.graph._names) == 37_086
         assert live < 7_000_000
+        # Nor does it build what no stage reads: the skew's adjacency
+        # and the tree's name key.
+        with pytest.raises(AttributeError):
+            object.__getattribute__(result.skew, "_out")
+        assert "_vertex_key" not in result.tree.__dict__
+
+    def test_pipeline_peak_stays_in_budget(self):
+        # The corner's scratch is gone before its edge columns are built,
+        # and each skew state is one int object.  The peak here is about
+        # 3.4 MB; holding the scratch, a second int per state, the skew's
+        # adjacency and the tree's name key as well takes it to 4.7 MB.
+        host = parse_graph(big_dag_text(n=1500))
+        c = Labelling.from_graph(host, GroupSpec.parse("z5"))
+        fixed_point_pipeline(c)  # builds the host's adjacency lists
+        tracemalloc.start()
+        try:
+            result = fixed_point_pipeline(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.corner.graph._names) == 37_086
+        assert peak < 4_000_000
