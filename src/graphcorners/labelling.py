@@ -23,7 +23,7 @@ from .multigraph import (
     GraphFormatError,
     _Names,
     _nests,
-    _strongly_connected_components,
+    _strong_components,
     is_acyclic,
 )
 # build_spanning_subtree stays a name here: bench/tracing.py wraps it.
@@ -286,10 +286,11 @@ def _skew_walk(c: Labelling, cap: int) -> tuple[DirectedMultigraph, list[int]]:
     # state (v, t) have s = t - c(e).
     elements, tables, step = _numbering(c, negate=True)
     out, ends = host._out, host._dst
-    # State i is (vs[i], ts[i]), found under its packed key t*n + v; ids
-    # lists the state numbers, the same int objects state_of holds.
+    # State i is (vs[i], ts[i]).  The state (v, 0) is v itself, and for
+    # t > 0 the fibre fibres[t] maps v to the number of the state (v, t),
+    # the same int object ids lists.
     vs, ts = list(range(n)), [0] * n
-    state_of = dict(zip(vs, vs))
+    fibres: list[dict[int, int] | None] = [None]
     ids = vs[:]
     # The skew edge (e, s) from state i to state j, as three columns: its
     # element s is its range's.
@@ -308,16 +309,19 @@ def _skew_walk(c: Labelling, cap: int) -> tuple[DirectedMultigraph, list[int]]:
             s = tables[k].get(t)
             if s is None:
                 s = step(k, t)
-            j = state_of.get(nxt := s * n + ends[k])
+                if s == len(fibres):
+                    fibres.append({})
+            w = ends[k]
+            j = fibres[s].get(w) if s else w
             if j is None:
-                if len(vs) >= cap:
+                if (j := len(vs)) >= cap:
                     raise CapExceededError(
                         f"closure exceeds cap {cap}: needs more than "
                         f"{cap} vertices"
                     )
-                j = state_of[nxt] = len(vs)
+                fibres[s][w] = j
                 ids.append(j)
-                vs.append(ends[k])
+                vs.append(w)
                 ts.append(s)
                 parent.append(len(dst))
             elif j >= lo and (
@@ -367,52 +371,60 @@ def kirchhoff_check(c: Labelling,
     if is_acyclic(host):
         return KirchhoffResult("PASS")
     infinite = [i for i, m in enumerate(c.group.moduli) if m == 0]
-    # The state (v, t) is the int t*n + v, t an element number; the
-    # identity is element 0, so the start states are the vertex indices.
+    # The state (v, t) is host vertex v with element number t; the
+    # identity is element 0.
     elements, tables, step = _numbering(c, negate=False)
     n = len(host.vertices)
     out, ends = host._out, host._dst
-    inside = [True]  # whether element t lies within the bound
-    GRAY, BLACK = 1, 2
-    color: dict[int, int] = {}
+    # enter[t] is whether a transition may enter element t: the identity
+    # is skipped, and so is an element past the bound.
+    enter = [False]
+    # color[v][t] is the colour of the state (v, t), True while it is on
+    # the stack: a table per vertex, made when the vertex is first met,
+    # keeps the colours O(n + states), whatever the group.
+    color: list[dict[int, bool] | None] = [None] * n
     saw_out_of_bound = False
     # Transitions onto the identity are skipped, so no state of element 0
     # is reached from another: each start state is a root, met once.
     for v0 in range(n):
-        color[v0] = GRAY
-        # Each frame holds a state, its element, its unread out-edges and
-        # the edge that entered it: the stack is the path from v0.
+        if color[v0] is None:
+            color[v0] = {}
+        color[v0][0] = True
+        # Each frame holds a state's vertex and element, its unread
+        # out-edges and the edge that entered it: the stack is the path
+        # from (v0, 0).
         stack = [(v0, 0, iter(out[v0]), None)]
         while stack:
-            state, t, it, _ = stack[-1]
+            v, t, it, _ = stack[-1]
             for k in it:
                 s = tables[k].get(t)
                 if s is None:
                     s = step(k, t)
-                    if s == len(inside):
-                        inside.append(all(abs(elements[s][i]) <= bound
-                                          for i in infinite))
-                if not s:
+                    if s == len(enter):
+                        enter.append(all(abs(elements[s][i]) <= bound
+                                         for i in infinite))
+                if not enter[s]:
+                    if s:
+                        saw_out_of_bound = True
                     continue
-                if not inside[s]:
-                    saw_out_of_bound = True
-                    continue
-                nxt = s * n + ends[k]
-                mark = color.get(nxt)
-                if mark == GRAY:
-                    # nxt is on the stack: the edges entering the frames,
-                    # then k, walk from v0 to nxt and round a cycle to it.
+                if (seen := color[w := ends[k]]) is None:
+                    seen = color[w] = {}
+                gray = seen.get(s)
+                if gray is None:
+                    seen[s] = True
+                    stack.append((w, s, iter(out[w]), k))
+                    break
+                if gray:
+                    # (w, s) is on the stack: the edges entering the
+                    # frames, then k, walk from v0 to it and round a
+                    # cycle to it.
                     names = host._names
                     walk = [names[f[3]] for f in stack[1:]] + [names[k]]
-                    i = [f[0] for f in stack].index(nxt)
+                    i = [f[:2] for f in stack].index((w, s))
                     return KirchhoffResult("FAIL", host.vertices[v0],
                                            tuple(walk[:i]), tuple(walk[i:]))
-                if mark is None:
-                    color[nxt] = GRAY
-                    stack.append((nxt, s, iter(out[ends[k]]), k))
-                    break
             else:
-                color[state] = BLACK
+                color[v][t] = False
                 stack.pop()
     if saw_out_of_bound:
         return KirchhoffResult("UNKNOWN")
@@ -425,27 +437,34 @@ def cycle_labels_trivial(c: Labelling) -> tuple[bool, tuple[str, ...] | None]:
     Exact for any finite host: within each strongly connected component a
     potential per vertex is fitted against the edge labels; an edge the
     potentials cannot explain yields a witness cycle with non-identity
-    label.
+    label.  The components are taken sources first, and the potentials
+    are element numbers.
     """
-    host, group, labels = c
+    host, group, _ = c
     add = _fast_op(group)
-    src, dst = host._src, host._dst
-    for comp in _strongly_connected_components(host):
-        internal = [
-            k for v in sorted(comp) for k in host._out[v] if dst[k] in comp
-        ]
+    src, dst, out = host._src, host._dst, host._out
+    elements, tables, step = _numbering(c, negate=False)
+    comp, count = _strong_components(host)
+    members: list[list[int]] = [[] for _ in range(count)]
+    for v, x in enumerate(comp):
+        members[x].append(v)
+    for x, vs in enumerate(members):
+        internal = [k for v in vs for k in out[v] if comp[dst[k]] == x]
         if not internal:
             continue
-        base = min(comp)
-        pot, fwd = _component_tree(c, comp, base, True)
+        base = vs[0]
+        pot, fwd = _component_tree(host, comp, base, True, step)
         for k in internal:
-            via = add(pot[src[k]], labels[k])
+            via = tables[k].get(t := pot[src[k]])
+            if via is None:
+                via = step(k, t)
             if via != pot[dst[k]]:
                 # The tree walks base -> s(k) -k-> r(k) -> base and base ->
                 # r(k) -> base differ in label by the mismatch, so one of
                 # them, the witness, has a non-identity label.
-                back, bwd = _component_tree(c, comp, base, False)
-                if add(via, back[dst[k]]) != group.identity:
+                back, bwd = _component_tree(host, comp, base, False, step)
+                cycle = add(elements[via], elements[back[dst[k]]])
+                if cycle != group.identity:
                     head = _tree_walk(fwd, src, src[k], base)[::-1] + [k]
                 else:
                     head = _tree_walk(fwd, src, dst[k], base)[::-1]
@@ -454,24 +473,24 @@ def cycle_labels_trivial(c: Labelling) -> tuple[bool, tuple[str, ...] | None]:
     return True, None
 
 
-def _component_tree(c, comp, base, forward):
-    """BFS potentials within one strong component of c's host and the tree
-    edge par[v] reaching each vertex, keyed by vertex index: pot[v] is the
-    label of the tree path base -> v, or with forward=False of v -> base."""
-    host, group, labels = c
-    add = _fast_op(group)
+def _component_tree(host, comp, base, forward, step):
+    """BFS potentials within base's strong component of the host, whose
+    vertices comp numbers, and the tree edge par[v] reaching each vertex,
+    keyed by vertex index: pot[v] is step's number for the label of the
+    tree path base -> v, or with forward=False of v -> base."""
     adjacent, far = (
         (host._out, host._dst) if forward else (host._in, host._src)
     )
-    pot = {base: group.identity}
+    x = comp[base]
+    pot = {base: 0}
     par: dict[int, int] = {}
     queue = [base]
     for v in queue:
         for k in adjacent[v]:
             w = far[k]
-            if w not in comp or w in pot:
+            if comp[w] != x or w in pot:
                 continue
-            pot[w] = add(pot[v], labels[k])
+            pot[w] = step(k, pot[v])
             par[w] = k
             queue.append(w)
     return pot, par

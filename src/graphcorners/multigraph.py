@@ -519,44 +519,48 @@ def bfs_distances(
     return {g.vertices[i]: d for i, d in dist.items()}
 
 
-def _strongly_connected_components(g: DirectedMultigraph) -> list[set[int]]:
-    """Strong components as sets of vertex indices (Kosaraju)."""
-    finish: list[int] = []
-    seen: set[int] = set()
-    for v in range(len(g.vertices)):
-        if v in seen:
+def _strong_components(g: DirectedMultigraph) -> tuple[list[int], int]:
+    """Each vertex's strong component number, and the number of
+    components.  One iterative pass of Tarjan's search, from the roots
+    0, 1, ... and along the out-edges in order; the components are
+    numbered in reverse of the order it completes them, so that every
+    edge runs to an equal or higher number."""
+    out, dst = g._out, g._dst
+    n = len(g.vertices)
+    # low[v] is 0 before v is met, then the least discovery number v
+    # reaches on the search's stack, then n + 1 once its component is.
+    low, comp, path = [0] * n, [0] * n, []
+    met = count = 0
+    for root in range(n):
+        if low[root]:
             continue
-        seen.add(v)
-        stack = [(v, iter(g._out[v]))]
-        while stack:
-            u, it = stack[-1]
-            k = next(it, None)
-            if k is None:
-                finish.append(u)
-                stack.pop()
-                continue
-            w = g._dst[k]
-            if w not in seen:
-                seen.add(w)
-                stack.append((w, iter(g._out[w])))
-    comps: list[set[int]] = []
-    assigned: set[int] = set()
-    for v in reversed(finish):
-        if v in assigned:
-            continue
-        comp = {v}
-        assigned.add(v)
-        work = [v]
-        while work:
-            u = work.pop()
-            for k in g._in[u]:
-                w = g._src[k]
-                if w not in assigned:
-                    assigned.add(w)
-                    comp.add(w)
-                    work.append(w)
-        comps.append(comp)
-    return comps
+        met += 1
+        low[root] = met
+        path.append(root)
+        frames = [(root, met, iter(out[root]))]
+        while frames:
+            v, d, it = frames[-1]
+            for k in it:
+                w = dst[k]
+                if not low[w]:
+                    met += 1
+                    low[w] = met
+                    path.append(w)
+                    frames.append((w, met, iter(out[w])))
+                    break
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                frames.pop()
+                if low[v] == d:  # v is the first met of its component
+                    count += 1
+                    w = -1
+                    while w != v:
+                        w = path.pop()
+                        low[w], comp[w] = n + 1, count
+                elif low[v] < low[u := frames[-1][0]]:
+                    low[u] = low[v]
+    return [count - x for x in comp], count
 
 
 def hereditary_closure(g: DirectedMultigraph, X: Iterable[str]) -> set[str]:

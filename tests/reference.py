@@ -2,7 +2,8 @@
 
 No command runs these, so they live with the tests: the path model and
 path labels, hereditary and saturated vertex sets, root paths in a
-subtree, the edge multiplicity matrix and the rank over the rationals.
+subtree, the edge multiplicity matrix, the rank over the rationals and
+Kosaraju's strong components.
 They read the library's index columns directly.
 """
 
@@ -166,3 +167,43 @@ def vertex_matrix(g: DirectedMultigraph) -> IntegerMatrix:
     for v, w in zip(g._src, g._dst):
         rows[v][w] += 1
     return IntegerMatrix.from_rows(rows, g.vertices, g.vertices)
+
+
+def strongly_connected_components(g: DirectedMultigraph) -> list[set[int]]:
+    """Strong components as sets of vertex indices (Kosaraju)."""
+    finish: list[int] = []
+    seen: set[int] = set()
+    for v in range(len(g.vertices)):
+        if v in seen:
+            continue
+        seen.add(v)
+        stack = [(v, iter(g._out[v]))]
+        while stack:
+            u, it = stack[-1]
+            k = next(it, None)
+            if k is None:
+                finish.append(u)
+                stack.pop()
+                continue
+            w = g._dst[k]
+            if w not in seen:
+                seen.add(w)
+                stack.append((w, iter(g._out[w])))
+    comps: list[set[int]] = []
+    assigned: set[int] = set()
+    for v in reversed(finish):
+        if v in assigned:
+            continue
+        comp = {v}
+        assigned.add(v)
+        work = [v]
+        while work:
+            u = work.pop()
+            for k in g._in[u]:
+                w = g._src[k]
+                if w not in assigned:
+                    assigned.add(w)
+                    comp.add(w)
+                    work.append(w)
+        comps.append(comp)
+    return comps

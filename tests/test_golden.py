@@ -199,6 +199,42 @@ def test_kirchhoff_digest(graph_files, options, group):
     assert digest == KIRCHHOFF_DIGESTS[(options, group)]
 
 
+# check-kirchhoff at --bound 3 and at the default bound, and with
+# --loops-only, over 500 small random multigraphs (loops, parallel edges
+# and isolated vertices), each labelled in one of four groups in turn:
+# one digest pins every certificate, UNKNOWN and exit code, well past
+# the sample graphs.
+RANDOM_GROUPS = ("z", "z3", "z5", "z,z2")
+RANDOM_KIRCHHOFF_DIGEST = (
+    "6490e722cc52b4b7f58276c535201bafb0191b6a344f7819ae307deae005bdde"
+)
+
+
+@pytest.fixture(scope="module")
+def random_labelled_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("random-labelled")
+    files = []
+    for seed in range(500):
+        rng = random.Random(f"labelled {seed}")
+        group = RANDOM_GROUPS[seed % len(RANDOM_GROUPS)]
+        g = labelled(random_multigraph(rng, 7, 12), rng)
+        if "," in group:
+            g = two_coordinates(g, rng)
+        path = root / f"r{seed}.graph"
+        path.write_text(serialize_graph(g), encoding="utf-8")
+        files.append((f"r{seed}", str(path), group))
+    return files
+
+
+def test_random_kirchhoff_digest(random_labelled_files):
+    runs = []
+    for options in ("--bound 3", "", "--loops-only"):
+        runs += runs_of(random_labelled_files, lambda name, path, group: (
+            ["check-kirchhoff", path, "--group", group] + options.split()
+        ))
+    assert digest_runs(runs) == RANDOM_KIRCHHOFF_DIGEST
+
+
 # The sample graphs with two-coordinate labels: each label keeps its
 # coordinate (an unlabelled edge takes 0) and gains a random second, so
 # these pin product groups, the lexicographic numbering of their

@@ -495,6 +495,25 @@ class TestKirchhoff:
         c = Labelling.from_graph(g, GroupSpec.parse("z"))
         assert kirchhoff_check(c, bound=10).status == "UNKNOWN"
 
+    def test_unknown_search_peak_stays_in_budget(self):
+        # Loops along the unit vectors of z,z,z: at bound 20 the search
+        # colours the 21³ states within it before it answers UNKNOWN.
+        # Colours held in one table per host vertex, keyed by element
+        # number, peak at about 2.5 MiB here; one table per element takes
+        # 4.5 MiB.
+        g = DirectedMultigraph(["v"], [("a", "v", "v", "1,0,0"),
+                                       ("b", "v", "v", "0,1,0"),
+                                       ("c", "v", "v", "0,0,1")])
+        c = Labelling.from_graph(g, GroupSpec.parse("z,z,z"))
+        tracemalloc.start()
+        try:
+            result = kirchhoff_check(c, bound=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.status == "UNKNOWN"
+        assert peak < 3.5 * 2**20
+
     def test_negative_bound_rejected(self):
         balanced = DirectedMultigraph(
             ["a", "b"], [("e", "a", "b", "1"), ("f", "b", "a", "-1")]

@@ -30,7 +30,13 @@ from graphcorners import linepass, multigraph
 from graphcorners.cli import _Positional
 from graphcorners.iso import are_isomorphic
 
-from reference import Path, is_hereditary, path_range, saturate
+from reference import (
+    Path,
+    is_hereditary,
+    path_range,
+    saturate,
+    strongly_connected_components,
+)
 from sample_graphs import (
     big_dag_text,
     cyc6,
@@ -499,6 +505,41 @@ class TestAcyclic:
                     if e.dst not in visited:
                         stack.append((e.dst, visited | {e.dst}, length + 1))
             assert longest < len(g.vertices)
+
+
+def scc_sample():
+    """300 random multigraphs of up to 40 vertices and 60 edges: loops,
+    parallel edges and isolated vertices included."""
+    for seed in range(300):
+        yield random_multigraph(random.Random(f"scc {seed}"), 40, 60)
+
+
+class TestStrongComponents:
+    def test_numbering_is_kosarajus_order_and_topological(self):
+        sizes = set()
+        for g in scc_sample():
+            comp, count = multigraph._strong_components(g)
+            members = [set() for _ in range(count)]
+            for v, x in enumerate(comp):
+                members[x].add(v)
+            assert members == strongly_connected_components(g)
+            assert all(comp[v] <= comp[w] for v, w in zip(g._src, g._dst))
+            sizes.update(map(len, members))
+        assert {1, 2} < sizes and max(sizes) > 20
+
+    def test_partition_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for g in scc_sample():
+            ref = nx.MultiDiGraph()
+            ref.add_nodes_from(range(len(g.vertices)))
+            ref.add_edges_from(zip(g._src, g._dst))
+            comp, _ = multigraph._strong_components(g)
+            expected = {frozenset(s)
+                        for s in nx.strongly_connected_components(ref)}
+            parts: dict[int, set[int]] = {}
+            for v, x in enumerate(comp):
+                parts.setdefault(x, set()).add(v)
+            assert set(map(frozenset, parts.values())) == expected
 
 
 class TestHereditary:
