@@ -14,6 +14,9 @@ from typing import NamedTuple
 
 from .multigraph import DirectedMultigraph
 
+# The size guard: larger graphs are refused, as the search is exponential.
+MAX_VERTICES = 12
+
 
 class IsoResult(NamedTuple):
     isomorphic: bool
@@ -23,14 +26,13 @@ class IsoResult(NamedTuple):
 def are_isomorphic(
     g1: DirectedMultigraph,
     g2: DirectedMultigraph,
-    max_vertices: int = 12,
 ) -> IsoResult:
     """Decide multigraph isomorphism; on success the witness maps g1's
-    vertices onto g2's."""
+    vertices onto g2's.  Graphs above ``MAX_VERTICES`` are refused."""
     n = len(g1.vertices)
-    if n > max_vertices or len(g2.vertices) > max_vertices:
+    if n > MAX_VERTICES or len(g2.vertices) > MAX_VERTICES:
         raise ValueError(
-            f"isomorphism size guard exceeded ({max_vertices} vertices)"
+            f"isomorphism size guard exceeded ({MAX_VERTICES} vertices)"
         )
     if n != len(g2.vertices) or len(g1._names) != len(g2._names):
         return IsoResult(False)

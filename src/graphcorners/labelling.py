@@ -162,7 +162,7 @@ class Labelling(NamedTuple):
         A key that names no edge of the host is rejected.
         """
         for name in labels:
-            host.edge(name)
+            host._require_edge(name)
         by_index = []
         for name in host._names:
             raw = labels.get(name)
@@ -175,10 +175,7 @@ class Labelling(NamedTuple):
         return cls(host, group, tuple(by_index))
 
     def label(self, edge_name: str) -> Element:
-        k = self.host._edge_index.get(edge_name)
-        if k is None:
-            raise GraphFormatError(f"unknown edge {edge_name!r}")
-        return self.by_index[k]
+        return self.by_index[self.host._require_edge(edge_name)]
 
 
 def _fast_op(group: GroupSpec) -> Callable[[Element, Element], Element]:

@@ -198,11 +198,11 @@ class DirectedMultigraph:
     def _from_indices(cls, vertices, names, src, dst, labels=None):
         """The trusted constructor: endpoints are vertex indices, and the
         name sequences are stored as they are, unchecked.  ``parse_graph``
-        and ``relabelled`` check theirs; the
-        library's own are unique by construction: a skew name ``v@g`` or
-        ``e@g`` splits uniquely at its last '@', since no element encoding
-        holds one, corner edge names go through ``corner._unclash``, and
-        the CLI's ``--relabel`` names ``v{i}``/``e{k}`` are positional."""
+        checks its columns first; the library's own names are unique by
+        construction: a skew name ``v@g`` or ``e@g`` splits uniquely at
+        its last '@', since no element encoding holds one, corner edge
+        names go through ``corner._unclash``, and the CLI's ``--relabel``
+        names ``v{i}``/``e{k}`` are positional."""
         g = cls.__new__(cls)
         g.vertices, g._names, g._src, g._dst = vertices, names, src, dst
         g._labels = labels  # None: no edge has a label
@@ -256,10 +256,7 @@ class DirectedMultigraph:
         return v in self._index
 
     def edge(self, name: str) -> Edge:
-        k = self._edge_index.get(name)
-        if k is None:
-            raise GraphFormatError(f"unknown edge {name!r}")
-        return self._edge(k)
+        return self._edge(self._require_edge(name))
 
     def has_edge(self, name: str) -> bool:
         return name in self._edge_index
@@ -281,6 +278,13 @@ class DirectedMultigraph:
         if i is None:
             raise GraphFormatError(f"unknown vertex {v!r}")
         return i
+
+    def _require_edge(self, name: str) -> int:
+        """The index of the edge with this name."""
+        k = self._edge_index.get(name)
+        if k is None:
+            raise GraphFormatError(f"unknown edge {name!r}")
+        return k
 
 
 def _check_item(
@@ -575,21 +579,18 @@ def relabelled(
 ) -> DirectedMultigraph:
     """Rename vertices (and optionally edges), preserving order and labels.
 
-    The new names come from outside: the first vertex left unmapped, then
-    the first name malformed or repeated as the public constructor checks
-    it, is rejected, since the trusted constructor checks nothing.
+    The first vertex left unmapped, then the first edge-map key that
+    names no edge, is rejected; the new names then go through the public
+    constructor, which names the first malformed or repeated one.
     """
     if missing := [v for v in g.vertices if v not in vertex_map]:
         raise GraphFormatError(f"vertex {missing[0]!r} has no new name")
     emap = edge_map or {}
-    h = DirectedMultigraph._from_indices(
-        tuple([vertex_map[v] for v in g.vertices]),
+    for name in emap:
+        g._require_edge(name)
+    vs = [vertex_map[v] for v in g.vertices]
+    return DirectedMultigraph(vs, zip(
         [emap.get(name, name) for name in g._names],
-        g._src, g._dst, g._labels,
-    )
-    for kind, items in (("vertex", h.vertices), ("edge", h._names)):
-        taken: set[str] = set()
-        for x in items:
-            _check_item(x, kind, taken)
-            taken.add(x)
-    return h
+        map(vs.__getitem__, g._src), map(vs.__getitem__, g._dst),
+        g._labels or repeat(None),
+    ))

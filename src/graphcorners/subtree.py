@@ -69,28 +69,16 @@ class DirectedSubtree(NamedTuple("DirectedSubtree", [
         return k is not None and self.parent_edge[self.host._dst[k]] == k
 
     @cached_property
-    def _vertex_key(self) -> Sequence:
-        """Keys in the str order of the host's vertex names, for
-        ``descendants``: the corner makes its own for the call."""
-        return _order_key(self.host.vertices)
-
-    @cached_property
-    def _children(self) -> list[list[int]]:
-        """The tree children of each host vertex, by index."""
-        src = self.host._src
-        children: list[list[int]] = [[] for _ in self.parent_edge]
-        for v, k in enumerate(self.parent_edge):
-            if k >= 0:
-                children[src[k]].append(v)
-        return children
-
-    @cached_property
     def _order(self) -> list[int]:
         """The spanned vertices, each after its tree parent.  A tree from
         :func:`build_spanning_subtree` or the skew walk keeps its BFS order
         here; otherwise the roots, then the rest breadth first."""
-        children = self._children
-        order = [v for v in self.spanned_indices if self.parent_edge[v] < 0]
+        src, parent_edge = self.host._src, self.parent_edge
+        children: list[list[int]] = [[] for _ in parent_edge]
+        for v, k in enumerate(parent_edge):
+            if k >= 0:
+                children[src[k]].append(v)
+        order = [v for v in self.spanned_indices if parent_edge[v] < 0]
         for v in order:
             order += children[v]
         return order
@@ -109,10 +97,7 @@ def validate_subtree(
     stay inside the closure and form no cycle.
     """
     vs, names, src, dst = host.vertices, host._names, host._src, host._dst
-    given = list(dict.fromkeys(tree_edges))
-    edges = list(map(host._edge_index.get, given))
-    if None in edges:
-        raise GraphFormatError(f"unknown edge {given[edges.index(None)]!r}")
+    edges = list(map(host._require_edge, dict.fromkeys(tree_edges)))
     # The roots are at distance 0.
     closure = _distances(host, map(host._require_vertex, roots))
     violations: list[str] = []
@@ -174,16 +159,21 @@ def descendants(tree: DirectedSubtree, v: str) -> tuple[str, ...]:
     each to every range above it, so each range's targets come in this
     order with no sort.
     """
-    if v not in tree.tree_vertices:
+    host, parent_edge = tree.host, tree.parent_edge
+    src, target = host._src, host._index.get(v)
+    # Parents first, each vertex at or below v gets its depth below v.
+    below: dict[int, int] = {}
+    for u in tree._order:
+        k = parent_edge[u]
+        if u == target:
+            below[u] = 0
+        elif k >= 0 and src[k] in below:
+            below[u] = below[src[k]] + 1
+    if not below:
         raise GraphFormatError(f"vertex {v!r} not in the subtree")
-    children, key = tree._children, tree._vertex_key
-    order = [tree.host._index[v]]
-    frontier = order[:]
-    while frontier:
-        frontier = [w for u in frontier for w in children[u]]
-        frontier.sort(key=key.__getitem__)
-        order += frontier
-    return tuple(map(tree.host.vertices.__getitem__, order))
+    ranked = sorted(below, key=_order_key(host.vertices).__getitem__)
+    ranked.sort(key=below.__getitem__)
+    return tuple(map(host.vertices.__getitem__, ranked))
 
 
 def build_spanning_subtree(host: DirectedMultigraph,

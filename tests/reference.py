@@ -2,8 +2,8 @@
 
 No command runs these, so they live with the tests: the path model and
 path labels, hereditary and saturated vertex sets, root paths in a
-subtree, the edge multiplicity matrix, the rank over the rationals and
-Kosaraju's strong components.
+subtree, the edge multiplicity matrix, the rank over the rationals,
+Kosaraju's strong components and a subtree's descendants level by level.
 They read the library's index columns directly.
 """
 
@@ -19,6 +19,7 @@ from graphcorners import (
     Labelling,
 )
 from graphcorners.labelling import Element
+from graphcorners.multigraph import _order_key
 
 
 class Path:
@@ -207,3 +208,24 @@ def strongly_connected_components(g: DirectedMultigraph) -> list[set[int]]:
                     work.append(w)
         comps.append(comp)
     return comps
+
+
+def level_descendants(tree: DirectedSubtree, v: str) -> tuple[str, ...]:
+    """Vertices reachable from v along tree edges, v included, by tree
+    distance from v, then by vertex name: a walk down the tree's child
+    lists a level at a time, each level sorted by the host's name key."""
+    host = tree.host
+    if v not in tree.tree_vertices:
+        raise GraphFormatError(f"vertex {v!r} not in the subtree")
+    children: list[list[int]] = [[] for _ in tree.parent_edge]
+    for u, k in enumerate(tree.parent_edge):
+        if k >= 0:
+            children[host._src[k]].append(u)
+    key = _order_key(host.vertices)
+    order = [host._index[v]]
+    frontier = order[:]
+    while frontier:
+        frontier = [w for u in frontier for w in children[u]]
+        frontier.sort(key=key.__getitem__)
+        order += frontier
+    return tuple(map(host.vertices.__getitem__, order))

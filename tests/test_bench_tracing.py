@@ -2,8 +2,7 @@
 
 ``bench/tracing.py`` patches module globals and methods of the program by
 name; a rename or a removal in ``src/`` would break the traced benchmark
-run.  This runs one small ``acyclic`` job and one small ``k-theory`` job
-under the tracer.
+run.  This runs one small job of each workload under the tracer.
 """
 
 import contextlib
@@ -70,3 +69,15 @@ def test_traced_k_theory_job(tmp_path):
     codes, recorder, _ = traced_job(tmp_path, "k-theory")
     assert codes == [0]
     assert {"cli", "multigraph.parse", "invariants.kth"} <= set(recorder.names)
+
+
+def test_traced_voltage_law_job(tmp_path):
+    codes, recorder, _ = traced_job(tmp_path, "voltage-law")
+    assert codes == [0] * len(codes)
+    assert {"cli", "multigraph.parse", "labelling.kirchhoff",
+            "labelling.loops", "labelling.fixed_point",
+            "corner.corner"} <= set(recorder.names)
+    # No stage of the job builds a graph through the public constructor,
+    # which relabelled() alone of the library calls.
+    assert recorder.counts["multigraph.init_calls"] == 0
+    assert recorder.counts["subtree.descendants_calls"] == 0

@@ -809,11 +809,11 @@ class TestFixedPoint:
             tracemalloc.stop()
         assert len(result.corner.graph._names) == 37_086
         assert live < 7_000_000
-        # Nor does it build what no stage reads: the skew's adjacency
-        # and the tree's name key.
+        # Nor does it build what no stage reads: the skew's adjacency,
+        # and on the tree anything but the walk's parents-first order.
         with pytest.raises(AttributeError):
             object.__getattribute__(result.skew, "_out")
-        assert "_vertex_key" not in result.tree.__dict__
+        assert set(result.tree.__dict__) == {"_order"}
 
     def test_pipeline_peak_stays_in_budget(self):
         # The corner's scratch is gone before its edge columns are built,

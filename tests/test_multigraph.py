@@ -653,6 +653,20 @@ class TestExport:
         assert '"u" -> "v" [label="e"];' in out
         assert out == to_dot(edge1())
 
+    @pytest.mark.parametrize("lookup", [
+        lambda g: g.edge("x"),
+        lambda g: Labelling.from_graph(g, GroupSpec.parse("z3")).label("x"),
+        lambda g: Labelling.from_map(g, GroupSpec.parse("z3"), {"x": 1}),
+        lambda g: validate_subtree(g, ["e", "x", "y"], ["a"]),
+        lambda g: relabelled(g, {"a": "a", "b": "b"}, {"e": "f", "x": "y"}),
+    ], ids=["edge", "label", "from_map", "validate_subtree", "relabelled"])
+    def test_unknown_edge_is_named(self, lookup):
+        # Every lookup by edge name names the first unknown one alike.
+        g = DirectedMultigraph(["a", "b"], [("e", "a", "b")])
+        with pytest.raises(GraphFormatError) as caught:
+            lookup(g)
+        assert str(caught.value) == "unknown edge 'x'"
+
     def test_relabelled_preserves_structure(self):
         g = cyc6()
         vmap = {"v0": "a", "v1": "b", "v2": "c"}
@@ -694,10 +708,17 @@ class TestExport:
         with pytest.raises(GraphFormatError,
                            match="^duplicate edge name 'e'$"):
             relabelled(loops, {"a": "a"}, {"f": "e"})
-        # A vertex the map leaves out is named, the first in vertex order.
+        # A vertex the map leaves out is named, the first in vertex order,
+        # and before an unknown edge or a bad new name.
         with pytest.raises(GraphFormatError,
                            match="^vertex 'b' has no new name$"):
             relabelled(DirectedMultigraph(["a", "b", "c"]), {"a": "x"})
+        with pytest.raises(GraphFormatError,
+                           match="^vertex 'b' has no new name$"):
+            relabelled(ab, {"a": "x y"}, {"typo": "z"})
+        # An edge-map key that names no edge comes before any new name.
+        with pytest.raises(GraphFormatError, match="^unknown edge 'typo'$"):
+            relabelled(ab, {"a": "x y", "b": "b"}, {"typo": "z"})
 
 
 def _slot_is_set(g: DirectedMultigraph, slot: str) -> bool:

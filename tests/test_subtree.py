@@ -17,9 +17,10 @@ from graphcorners import (
 )
 from graphcorners.multigraph import bfs_distances
 
-from reference import Path, root_path
+from reference import Path, level_descendants, root_path
 from sample_graphs import (
     cyc6,
+    grown_tree,
     odd_names,
     pqr,
     random_bfs_tree,
@@ -171,8 +172,43 @@ class TestDescendants:
 
     def test_vertex_outside_the_subtree(self):
         t = validate_subtree(pqr(1, 1, 1), ["f"], ["v"])
-        with pytest.raises(GraphFormatError, match="'u' not in the subtree"):
-            descendants(t, "u")
+        for u in ("u", "nowhere"):
+            with pytest.raises(GraphFormatError) as caught:
+                descendants(t, u)
+            assert str(caught.value) == f"vertex {u!r} not in the subtree"
+
+    @staticmethod
+    def _trees(rng):
+        """100 trees each from the builder, from a depth-first search
+        (validated, so their order is built on first use) and from the
+        fixed-point pipeline over hosts named with '@', where some skew
+        names nest."""
+        for _ in range(100):
+            g = random_multigraph(rng, max_v=12, max_e=24)
+            roots = rng.sample(list(g.vertices),
+                               rng.randint(1, min(3, len(g.vertices))))
+            yield build_spanning_subtree(g, roots)
+            yield grown_tree(g, roots, lambda frontier: -1)
+            n = rng.randint(1, 6)
+            vs, es = odd_names(rng.random(), n), odd_names(rng.random(), 2 * n)
+            g = DirectedMultigraph(vs, [(e, rng.choice(vs), rng.choice(vs))
+                                        for e in es])
+            labels = {e: rng.randrange(3) for e in es}
+            c = Labelling.from_map(g, GroupSpec.parse("z3"), labels)
+            yield fixed_point_pipeline(c).tree
+
+    def test_matches_the_level_walk(self):
+        # One pass over the tree's parents-first order and two stable
+        # sorts give the order of the walk down the child lists.
+        trees = list(self._trees(random.Random("descendants")))
+        assert len(trees) == 300
+        assert sum(len(t.spanned_indices) for t in trees) > 1500
+        for t in trees:
+            for v in t.tree_vertices:
+                assert descendants(t, v) == level_descendants(t, v)
+            for v in set(t.host.vertices) - t.tree_vertices:
+                with pytest.raises(GraphFormatError):
+                    descendants(t, v)
 
 
 class TestTreeLaws:
